@@ -28,6 +28,14 @@ work then splits into
   at ``t+1``) but involves only elementwise work on ``(batch, n_out)``
   slices, again over preallocated buffers.
 
+There is one forward kernel per neuron kind (:func:`_adaptive_forward`,
+:func:`_hard_reset_forward`).  Each advances a carried per-layer state —
+the :class:`StreamState` of a live stream (:func:`run_streaming`) — and a
+batch run (:func:`fused_run`) is simply a stream whose carry starts at
+zero.  The step-wise loop and the per-step BPTT adjoints survive only as
+test oracles, reachable through ``SpikingNetwork.run(engine="step")`` and
+``backprop.backward(engine="reference")``.
+
 The backward pass (:func:`fused_backward`) applies the same split to the
 BPTT adjoints of :mod:`repro.core.backprop`: the sequential part is the
 elementwise ``delta_v`` recurrence; the weight gradient collapses to a
@@ -48,6 +56,8 @@ Trainer`, or a pool worker) recycles the recorded tensors once the step is
 done, so steady-state training reallocates nothing.  ``ws=None`` (the
 default) keeps the original allocate-per-call behavior.
 
+Sparse products use :mod:`scipy.sparse` (a required dependency).
+
 Equivalence with the step-wise reference (same spikes, membrane traces and
 gradients to tolerance) is tested in ``tests/unit/test_engine.py``; the
 speedup is measured by ``benchmarks/bench_throughput.py`` and recorded in
@@ -60,10 +70,7 @@ import numpy as np
 
 from ..common.errors import ShapeError
 
-try:  # scipy is optional; the engine falls back to dense BLAS without it.
-    from scipy import sparse as _sparse
-except ImportError:  # pragma: no cover - scipy is present in CI
-    _sparse = None
+from scipy import sparse as _sparse
 
 __all__ = [
     "PRECISIONS",
@@ -166,11 +173,11 @@ def _as_csr(flat: np.ndarray, ws=None):
     meant to replace, so the index structure is built directly: one
     ``flatnonzero`` scan (indices come out sorted, i.e. canonical CSR
     order) plus a ``searchsorted`` for the row pointers.  Returns ``None``
-    when scipy is missing, the matrix is small, or the density is too high
-    for the sparse product to win.  ``ws`` serves the constant
+    when the matrix is small or the density is too high for the sparse
+    product to win.  ``ws`` serves the constant
     row-boundary scratch from its cache.
     """
-    if _sparse is None or flat.size < _SPARSE_MIN_SIZE:
+    if flat.size < _SPARSE_MIN_SIZE:
         return None
     # Explicit bool compare first: flatnonzero on a float array pays an
     # extra full-size temporary and runs ~3x slower.
@@ -193,8 +200,7 @@ def _build_csr(flat: np.ndarray, raveled: np.ndarray, idx: np.ndarray, ws):
 
 
 def _as_csr_always(flat: np.ndarray, ws=None):
-    """CSR of a spike matrix regardless of size or density (or ``None``
-    without scipy).
+    """CSR of a spike matrix regardless of size or density.
 
     The streaming path (:func:`run_streaming`) uses this instead of the
     :func:`_as_csr` probe: the CSR product computes every output row as an
@@ -205,8 +211,6 @@ def _as_csr_always(flat: np.ndarray, ws=None):
     no such guarantee (BLAS picks different kernels for different row
     counts), which is why the probe's economics do not apply here.
     """
-    if _sparse is None:
-        return None
     raveled = np.ascontiguousarray(flat).reshape(-1)
     idx = np.flatnonzero(raveled != 0)
     return _build_csr(flat, raveled, idx, ws)
@@ -298,10 +302,24 @@ def _resolve_weight_override(layer, weight):
     return weight
 
 
+def _check_weight_count(network, weights) -> None:
+    """A per-layer weight override list must cover every layer."""
+    if weights is not None and len(weights) != len(network.layers):
+        raise ShapeError(
+            f"expected {len(network.layers)} weight overrides, "
+            f"got {len(weights)}")
+
+
 def fused_layer_forward(layer, xs: np.ndarray, need_k: bool = True,
                         _csr=_AUTO_CSR, ws=None, weight=None
                         ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Run one :class:`~repro.core.layers.SpikingLinear` over a whole sequence.
+
+    A batch run is a stream whose carry starts at zero: the layer goes
+    through the same per-kind kernel :func:`run_streaming` uses, seeded
+    with a fresh all-zero carry (zero carries reproduce a cold first step
+    exactly, because ``0*decay`` and ``+= 0`` are no-ops on the fresh
+    state).
 
     Parameters
     ----------
@@ -342,9 +360,51 @@ def fused_layer_forward(layer, xs: np.ndarray, need_k: bool = True,
         raise ShapeError(f"{layer.name}: expected {layer.n_in} inputs, "
                          f"got {xs.shape[2]}")
     weight = _resolve_weight_override(layer, weight)
+    dtype = xs.dtype
+    batch, steps, n_in = xs.shape
+    adaptive = layer.neuron_kind == "adaptive"
+    if steps == 0:
+        layer.reset_state(batch, dtype=dtype)
+        empty = np.zeros((batch, 0, layer.n_out), dtype=dtype)
+        k = (np.zeros((batch, 0, n_in), dtype=dtype)
+             if adaptive and need_k else None)
+        return empty, k, empty.copy()
+
+    carry = _zero_carry(layer, batch, dtype)
+    kernel = _adaptive_forward if adaptive else _hard_reset_forward
+    spikes, v = kernel(layer, xs, carry, _csr, ws, weight)
+
+    # Leave incremental state at the final step, like the step-wise path.
+    neuron = layer.neuron
+    if not adaptive:
+        # The step-wise path's reset_state zeroes the unused synapse
+        # filter buffer of hard-reset layers.
+        layer.k = np.zeros((batch, n_in), dtype=dtype)
+        neuron.v = carry["v"]
+        return spikes, None, v
+    k = None
+    if need_k:
+        k = exp_scan(xs, layer.alpha, out=_ws_empty(ws, xs.shape, dtype))
+        layer.k = k[:, -1].copy()
+    else:
+        # Final filter state without the full trace: k[T-1] is the
+        # alpha^(T-1-t)-weighted sum of the inputs.
+        decay_powers = layer.alpha ** np.arange(steps - 1, -1, -1,
+                                                dtype=np.float64)
+        layer.k = np.matmul(decay_powers.astype(dtype), xs)
+    neuron.h = carry["h"]
+    neuron.last_output = carry["o"]
+    return spikes, k, v
+
+
+def _zero_carry(layer, batch: int, dtype, zeros=np.zeros
+                ) -> dict[str, np.ndarray]:
+    """A fresh per-layer carry: ``{g, h, o}`` (adaptive) or ``{v}``
+    (hard reset), all ``(batch, n_out)`` zeros of ``dtype``."""
+    shape = (batch, layer.n_out)
     if layer.neuron_kind == "adaptive":
-        return _fused_adaptive_forward(layer, xs, need_k, _csr, ws, weight)
-    return _fused_hard_reset_forward(layer, xs, _csr, ws, weight)
+        return {key: zeros(shape, dtype=dtype) for key in ("g", "h", "o")}
+    return {"v": zeros(shape, dtype=dtype)}
 
 
 def _layer_gv(layer_weight, xs, dtype, csr, ws, gain: float = 1.0):
@@ -377,96 +437,104 @@ def _layer_gv(layer_weight, xs, dtype, csr, ws, gain: float = 1.0):
     return gv
 
 
-def _fused_adaptive_forward(layer, xs, need_k, csr=_AUTO_CSR, ws=None,
-                            weight=None):
+def _adaptive_forward(layer, xs, st, csr, ws, weight,
+                      lengths=None, ends=None):
     """Adaptive-threshold layer: sparse matmul -> scan -> threshold scan.
+
+    Advances the carry ``st = {g, h, o}`` — the scanned crossbar drive
+    ``g[t]``, the reset filter ``h[t]`` (eq. 8) and the last output
+    spikes ``O[t]`` — in place over one ``(batch, T, n_in)`` input and
+    returns ``(spikes, v)``, both ``(batch, T, n_out)``.
 
     The synapse filter (eq. 9) and the crossbar product (eq. 7) are both
     linear, so ``filter(x) @ W^T == filter(x @ W^T)``.  Evaluating the
     matmul first keeps its input the *raw spikes* — a few-percent-dense
     0/1 matrix that :func:`spike_matmul` contracts over nonzeros only —
     and moves the scan from the wide ``n_in`` axis to the narrow ``n_out``
-    axis.
+    axis.  ``lengths``/``ends`` (see :func:`run_streaming`) capture each
+    row's carry at its own final valid step.
     """
     dtype = xs.dtype
-    batch, steps, n_in = xs.shape
+    batch, steps, _ = xs.shape
     n_out = layer.n_out
     neuron = layer.neuron
-    alpha = layer.alpha
     theta = neuron.params.theta
     v_th = neuron.params.v_th
     beta = neuron.beta_r
-    if steps == 0:
-        layer.reset_state(batch, dtype=dtype)
-        empty = np.zeros((batch, 0, n_out), dtype=dtype)
-        k = np.zeros((batch, 0, n_in), dtype=dtype) if need_k else None
-        return empty, k, empty.copy()
 
     # Crossbar product of the raw spikes for every step at once, then the
-    # synapse filter as an in-place scan over (batch, T, n_out).  ``gv``
-    # starts life as g[t] and is rewritten to v[t] = g[t] - theta*h[t].
+    # synapse filter as an in-place scan seeded with the carried drive.
+    # ``gv`` starts life as g[t] and is rewritten to v[t] = g[t] - theta*h[t].
     gv = _layer_gv(layer.weight if weight is None else weight,
                    xs, dtype, csr, ws)
-    exp_scan(gv, alpha, out=gv)
-
-    if need_k:
-        k = exp_scan(xs, alpha, out=_ws_empty(ws, xs.shape, dtype))
+    exp_scan(gv, layer.alpha, out=gv, carry=st["g"])
+    # The carry for the next chunk is the *scanned drive* at each row's
+    # final valid step — captured before the threshold loop rewrites
+    # ``gv`` into membrane values in place.
+    if lengths is None:
+        np.copyto(st["g"], gv[:, -1])
     else:
-        k = None
+        np.copyto(st["g"], gv[np.arange(batch), lengths - 1])
 
     spikes = _ws_empty(ws, (batch, steps, n_out), dtype)
-    h = np.zeros((batch, n_out), dtype=dtype)
+    h = st["h"]
     scratch = _ws_empty(ws, (batch, n_out), dtype)
-    o_prev = None
+    h_final = o_final = None
+    if ends is not None:
+        h_final = _ws_empty(ws, (batch, n_out), dtype)
+        o_final = _ws_empty(ws, (batch, n_out), dtype)
+    o_prev = st["o"]
     for t in range(steps):
-        # h[t] = beta*h[t-1] + O[t-1]   (eq. 8)
         h *= beta
-        if o_prev is not None:
-            h += o_prev
+        h += o_prev                       # h[t] = beta*h[t-1] + O[t-1] (eq. 8)
         v_t = gv[:, t]
         np.multiply(h, theta, out=scratch)
         v_t -= scratch                    # v[t] = g[t] - theta*h[t] (eq. 6)
         o_t = spikes[:, t]
         o_t[...] = v_t >= v_th            # O[t] = U(v[t] - Vth) (eq. 10/11)
         o_prev = o_t
-
-    # Leave incremental state at the final step, like the step-wise path.
-    if k is not None:
-        layer.k = k[:, -1].copy()
+        if ends is not None:
+            rows = ends.get(t)
+            if rows is not None:
+                h_final[rows] = h[rows]
+                o_final[rows] = o_t[rows]
+    if ends is None:
+        np.copyto(st["o"], spikes[:, -1])
     else:
-        # Final filter state without the full trace: k[T-1] is the
-        # alpha^(T-1-t)-weighted sum of the inputs.
-        decay_powers = alpha ** np.arange(steps - 1, -1, -1, dtype=np.float64)
-        layer.k = np.matmul(decay_powers.astype(dtype), xs)
-    neuron.h = h
-    neuron.last_output = spikes[:, -1].copy()
+        # Padded rows kept evolving the shared working ``h`` past their
+        # end; restore every row from its own captured snapshot.
+        np.copyto(st["h"], h_final)
+        np.copyto(st["o"], o_final)
+        _ws_release(ws, h_final, o_final)
     _ws_release(ws, scratch)
-    return spikes, k, gv
+    return spikes, gv
 
 
-def _fused_hard_reset_forward(layer, xs, csr=_AUTO_CSR, ws=None,
-                              weight=None):
-    """Hard-reset layer: batched matmul -> leaky-integrate/reset scan."""
+def _hard_reset_forward(layer, xs, st, csr, ws, weight,
+                        lengths=None, ends=None):
+    """Hard-reset layer: batched matmul -> leaky-integrate/reset scan.
+
+    Advances the post-reset membrane carry ``st = {v}`` in place and
+    returns ``(spikes, v_pre)``, both ``(batch, T, n_out)``.
+    """
     dtype = xs.dtype
-    batch, steps, n_in = xs.shape
+    batch, steps, _ = xs.shape
     n_out = layer.n_out
     neuron = layer.neuron
     alpha = neuron.alpha
     v_th = neuron.params.v_th
-    if steps == 0:
-        layer.reset_state(batch, dtype=dtype)
-        empty = np.zeros((batch, 0, n_out), dtype=dtype)
-        return empty, None, empty.copy()
 
     # Weighted input for every step at once (sparse over the raw spikes);
     # fold the discretisation gain into the weight so the scan below is
     # pure elementwise work.
     gv = _layer_gv(layer.weight if weight is None else weight,
                    xs, dtype, csr, ws, gain=float(neuron.input_gain))
-
     spikes = _ws_empty(ws, (batch, steps, n_out), dtype)
-    v_post = np.zeros((batch, n_out), dtype=dtype)
+    v_post = st["v"]
     scratch = _ws_empty(ws, (batch, n_out), dtype)
+    v_final = None
+    if ends is not None:
+        v_final = _ws_empty(ws, (batch, n_out), dtype)
     for t in range(steps):
         v_t = gv[:, t]
         np.multiply(v_post, alpha, out=scratch)
@@ -475,13 +543,15 @@ def _fused_hard_reset_forward(layer, xs, csr=_AUTO_CSR, ws=None,
         o_t[...] = v_t >= v_th
         np.subtract(1.0, o_t, out=scratch)
         np.multiply(v_t, scratch, out=v_post)   # hard reset (eq. 1b)
-
-    # State parity with the step-wise path (whose reset_state zeroes the
-    # unused synapse-filter buffer for hard-reset layers).
-    layer.k = np.zeros((batch, n_in), dtype=dtype)
-    neuron.v = v_post
+        if ends is not None:
+            rows = ends.get(t)
+            if rows is not None:
+                v_final[rows] = v_post[rows]
+    if ends is not None:
+        np.copyto(st["v"], v_final)
+        _ws_release(ws, v_final)
     _ws_release(ws, scratch)
-    return spikes, None, gv
+    return spikes, gv
 
 
 def fused_run(network, inputs: np.ndarray, record: bool = False, ws=None,
@@ -508,10 +578,7 @@ def fused_run(network, inputs: np.ndarray, record: bool = False, ws=None,
     from .layers import LayerStepRecord   # local import: avoids a cycle
     from .network import RunRecord
 
-    if weights is not None and len(weights) != len(network.layers):
-        raise ShapeError(
-            f"expected {len(network.layers)} weight overrides, "
-            f"got {len(weights)}")
+    _check_weight_count(network, weights)
     x = inputs
     layer_records: list[LayerStepRecord] = []
     input_csrs = []
@@ -553,23 +620,13 @@ class StreamState:
     one-shot :meth:`~repro.core.network.SpikingNetwork.run` in
     ``tests/unit/test_streaming.py``).
 
-    The representation is engine-specific (states from different engines
-    are not interchangeable, and :meth:`~repro.core.network.SpikingNetwork.
-    run_stream` rejects a mismatch):
-
-    * ``engine="fused"`` — per adaptive layer ``{"g", "h", "o"}``: the
-      scanned crossbar drive ``g[t]`` (eq. 9 applied after the matmul),
-      the reset filter ``h[t]`` (eq. 8) and the last output spikes
-      ``O[t]``; per hard-reset layer ``{"v"}``: the post-reset membrane.
-      All in the stream's dtype.
-    * ``engine="step"`` — per adaptive layer ``{"k", "h", "o"}`` with
-      ``k`` the *presynaptic* filter state the step path holds on the
-      layer (the fused path's ``g = k W^T`` is algebraically equal but not
-      bitwise, hence the split representation); per hard-reset layer
-      ``{"v"}``.  ``h``/``o``/``v`` are kept float64 regardless of the
-      stream dtype because the step path's membrane math runs against the
-      float64 weights (zero-initialised state makes the first-step values
-      identical either way).
+    Per adaptive layer the carry is ``{"g", "h", "o"}``: the scanned
+    crossbar drive ``g[t]`` (eq. 9 applied after the matmul), the reset
+    filter ``h[t]`` (eq. 8) and the last output spikes ``O[t]``; per
+    hard-reset layer ``{"v"}``: the post-reset membrane.  All are
+    ``(batch, n_out)`` in the stream's dtype.  A batch run
+    (:func:`fused_run`) is the same kernel started from a fresh all-zero
+    carry.
 
     Instances are plain data: they never reference the network (a server
     holds thousands of them per resident model) and the network's own
@@ -578,10 +635,8 @@ class StreamState:
     single-session states into one batched state via :meth:`copy_row`.
     """
 
-    def __init__(self, engine: str, dtype, batch: int,
-                 sizes: tuple, kinds: tuple,
+    def __init__(self, dtype, batch: int, sizes: tuple, kinds: tuple,
                  layers: list[dict[str, np.ndarray]]):
-        self.engine = engine
         self.dtype = np.dtype(dtype)
         self.batch = int(batch)
         self.sizes = tuple(sizes)
@@ -591,8 +646,8 @@ class StreamState:
         self.steps = np.zeros(self.batch, dtype=np.int64)
 
     @classmethod
-    def for_network(cls, network, batch: int, engine: str = "fused",
-                    precision=None, dtype=np.float64, ws=None) -> "StreamState":
+    def for_network(cls, network, batch: int, precision=None,
+                    dtype=np.float64, ws=None) -> "StreamState":
         """A fresh (all-zero) state for ``batch`` independent streams.
 
         ``ws`` optionally serves the state arrays from a
@@ -601,35 +656,13 @@ class StreamState:
         serving tick's gather state); session-lived states use plain
         allocation.
         """
-        if engine not in ("fused", "step"):
-            raise ValueError(
-                f"engine must be 'fused' or 'step', got {engine!r}")
         if batch <= 0:
             raise ValueError(f"batch must be positive, got {batch}")
         resolved = resolve_precision(precision) or np.dtype(dtype)
-        state_f64 = np.dtype(np.float64)
-        zeros = (np.zeros if ws is None
-                 else (lambda shape, dtype: ws.zeros(shape, dtype)))
-        layers = []
-        for layer in network.layers:
-            if layer.neuron_kind == "adaptive":
-                arrays = {
-                    ("g" if engine == "fused" else "k"): zeros(
-                        (batch, layer.n_out if engine == "fused"
-                         else layer.n_in), dtype=resolved),
-                    "h": zeros((batch, layer.n_out),
-                               dtype=resolved if engine == "fused"
-                               else state_f64),
-                    "o": zeros((batch, layer.n_out),
-                               dtype=resolved if engine == "fused"
-                               else state_f64),
-                }
-            else:
-                arrays = {"v": zeros((batch, layer.n_out),
-                                     dtype=resolved if engine == "fused"
-                                     else state_f64)}
-            layers.append(arrays)
-        return cls(engine, resolved, batch, network.sizes,
+        zeros = np.zeros if ws is None else ws.zeros
+        layers = [_zero_carry(layer, batch, resolved, zeros)
+                  for layer in network.layers]
+        return cls(resolved, batch, network.sizes,
                    tuple(layer.neuron_kind for layer in network.layers),
                    layers)
 
@@ -655,8 +688,7 @@ class StreamState:
                  source_row: int) -> None:
         """Copy one stream's state from ``source[source_row]`` into
         ``self[row]`` — the serving gather/scatter primitive."""
-        if (source.engine != self.engine or source.sizes != self.sizes
-                or source.kinds != self.kinds):
+        if source.sizes != self.sizes or source.kinds != self.kinds:
             raise ValueError("cannot copy state rows across stream kinds")
         for mine, theirs in zip(self.layers, source.layers):
             for key, arr in mine.items():
@@ -666,7 +698,7 @@ class StreamState:
     def clone(self) -> "StreamState":
         """An independent deep copy (e.g. for forking a stream)."""
         twin = StreamState(
-            self.engine, self.dtype, self.batch, self.sizes, self.kinds,
+            self.dtype, self.batch, self.sizes, self.kinds,
             [{key: arr.copy() for key, arr in layer.items()}
              for layer in self.layers])
         twin.steps = self.steps.copy()
@@ -674,8 +706,7 @@ class StreamState:
 
     def __repr__(self) -> str:
         arch = "-".join(str(s) for s in self.sizes)
-        return (f"StreamState({arch}, engine={self.engine!r}, "
-                f"batch={self.batch}, dtype={self.dtype.name}, "
+        return (f"StreamState({arch}, batch={self.batch}, dtype={self.dtype.name}, "
                 f"steps={self.steps.tolist()})")
 
 
@@ -708,7 +739,7 @@ def _resolve_lengths(lengths, batch: int, steps: int):
 
 def run_streaming(network, chunk: np.ndarray, state: StreamState,
                   lengths=None, ws=None, weights=None) -> np.ndarray:
-    """Advance a fused-engine stream by one chunk; returns output spikes.
+    """Advance a stream by one chunk; returns output spikes.
 
     ``chunk`` is a validated ``(batch, T_chunk, n_in)`` array in the
     state's dtype (:meth:`~repro.core.network.SpikingNetwork.run_stream`
@@ -728,33 +759,30 @@ def run_streaming(network, chunk: np.ndarray, state: StreamState,
     (quantized + noisy) weights — only the weight values differ, the
     dynamics are byte-for-byte the same code path.
 
-    Every crossbar product uses the CSR spike product unconditionally
+    Each layer runs through the same per-kind kernel as
+    :func:`fused_run`, seeded with the carried state.  Every crossbar
+    product uses the CSR spike product unconditionally
     (:func:`_as_csr_always`): CSR output rows are computed independently
     in fixed index order, which makes the chunked/batched results
     bitwise-equal to a one-shot fused run whose probe also picked CSR.
-    Without scipy the dense fallback keeps results correct to ulp-level
-    accumulation differences, but the bitwise guarantee lapses.
 
     Unlike :func:`fused_run`, the network's layer/neuron scratch state is
     left untouched — many concurrent streams share one resident network.
     """
     batch, steps, _ = chunk.shape
     lengths, ends = _resolve_lengths(lengths, batch, steps)
-    if weights is not None and len(weights) != len(network.layers):
-        raise ShapeError(
-            f"expected {len(network.layers)} weight overrides, "
-            f"got {len(weights)}")
+    _check_weight_count(network, weights)
     if steps == 0:
         return np.zeros((batch, 0, network.sizes[-1]), dtype=state.dtype)
     x = chunk
     for index, (layer, st) in enumerate(zip(network.layers, state.layers)):
-        weight = None if weights is None else weights[index]
-        if layer.neuron_kind == "adaptive":
-            spikes = _stream_adaptive_forward(layer, x, st, lengths, ends,
-                                              ws, weight)
-        else:
-            spikes = _stream_hard_reset_forward(layer, x, st, lengths,
-                                                ends, ws, weight)
+        weight = _resolve_weight_override(
+            layer, None if weights is None else weights[index])
+        kernel = (_adaptive_forward if layer.neuron_kind == "adaptive"
+                  else _hard_reset_forward)
+        csr = _as_csr_always(x.reshape(batch * steps, layer.n_in), ws)
+        spikes, gv = kernel(layer, x, st, csr, ws, weight, lengths, ends)
+        _ws_release(ws, gv)
         if ws is not None and x is not chunk:
             ws.release(x)
         x = spikes
@@ -763,123 +791,6 @@ def run_streaming(network, chunk: np.ndarray, state: StreamState,
     else:
         state.steps += lengths
     return x
-
-
-def _stream_gv(layer, xs, ws, gain: float = 1.0,
-               weight: np.ndarray | None = None) -> np.ndarray:
-    """The chunk's crossbar drive via the always-CSR product.
-
-    ``weight`` substitutes the layer's weight matrix (the hardware
-    override of :func:`run_streaming`); shape must match.
-    """
-    if weight is None:
-        weight = layer.weight
-    elif weight.shape != layer.weight.shape:
-        raise ShapeError(
-            f"{layer.name}: weight override shape {weight.shape} != "
-            f"{layer.weight.shape}")
-    batch, steps, n_in = xs.shape
-    flat_x = xs.reshape(batch * steps, n_in)
-    return _layer_gv(weight, xs, xs.dtype,
-                     _as_csr_always(flat_x, ws), ws, gain=gain)
-
-
-def _stream_adaptive_forward(layer, xs, st, lengths, ends, ws, weight=None):
-    """One chunk of an adaptive layer, carrying ``{g, h, o}`` across calls.
-
-    Op-for-op the same sequence as :func:`_fused_adaptive_forward` — the
-    drive scan seeded with the carried ``g`` (see :func:`exp_scan`) and
-    the threshold loop seeded with the carried ``h``/``o`` (zero carries
-    reproduce the one-shot first step exactly, because ``0*beta`` and
-    ``+= 0`` are bitwise no-ops on the all-positive-zero fresh state).
-    """
-    dtype = xs.dtype
-    batch, steps, _ = xs.shape
-    n_out = layer.n_out
-    neuron = layer.neuron
-    theta = neuron.params.theta
-    v_th = neuron.params.v_th
-    beta = neuron.beta_r
-
-    gv = _stream_gv(layer, xs, ws, weight=weight)
-    exp_scan(gv, layer.alpha, out=gv, carry=st["g"])
-    # The carry for the next chunk is the *scanned drive* at each row's
-    # final valid step — captured before the threshold loop rewrites
-    # ``gv`` into membrane values in place.
-    if lengths is None:
-        np.copyto(st["g"], gv[:, -1])
-    else:
-        np.copyto(st["g"], gv[np.arange(batch), lengths - 1])
-
-    spikes = _ws_empty(ws, (batch, steps, n_out), dtype)
-    h = st["h"]
-    scratch = _ws_empty(ws, (batch, n_out), dtype)
-    h_final = o_final = None
-    if ends is not None:
-        h_final = _ws_empty(ws, (batch, n_out), dtype)
-        o_final = _ws_empty(ws, (batch, n_out), dtype)
-    o_prev = st["o"]
-    for t in range(steps):
-        h *= beta
-        h += o_prev
-        v_t = gv[:, t]
-        np.multiply(h, theta, out=scratch)
-        v_t -= scratch                    # v[t] = g[t] - theta*h[t] (eq. 6)
-        o_t = spikes[:, t]
-        o_t[...] = v_t >= v_th            # O[t] = U(v[t] - Vth) (eq. 10/11)
-        o_prev = o_t
-        if ends is not None:
-            rows = ends.get(t)
-            if rows is not None:
-                h_final[rows] = h[rows]
-                o_final[rows] = o_t[rows]
-    if ends is None:
-        np.copyto(st["o"], spikes[:, -1])
-    else:
-        # Padded rows kept evolving the shared working ``h`` past their
-        # end; restore every row from its own captured snapshot.
-        np.copyto(st["h"], h_final)
-        np.copyto(st["o"], o_final)
-        _ws_release(ws, h_final, o_final)
-    _ws_release(ws, scratch, gv)
-    return spikes
-
-
-def _stream_hard_reset_forward(layer, xs, st, lengths, ends, ws,
-                               weight=None):
-    """One chunk of a hard-reset layer, carrying ``{v}`` across calls."""
-    dtype = xs.dtype
-    batch, steps, _ = xs.shape
-    n_out = layer.n_out
-    neuron = layer.neuron
-    alpha = neuron.alpha
-    v_th = neuron.params.v_th
-
-    gv = _stream_gv(layer, xs, ws, gain=float(neuron.input_gain),
-                    weight=weight)
-    spikes = _ws_empty(ws, (batch, steps, n_out), dtype)
-    v_post = st["v"]
-    scratch = _ws_empty(ws, (batch, n_out), dtype)
-    v_final = None
-    if ends is not None:
-        v_final = _ws_empty(ws, (batch, n_out), dtype)
-    for t in range(steps):
-        v_t = gv[:, t]
-        np.multiply(v_post, alpha, out=scratch)
-        v_t += scratch                    # v_pre[t] = alpha*v_post[t-1] + j[t]
-        o_t = spikes[:, t]
-        o_t[...] = v_t >= v_th
-        np.subtract(1.0, o_t, out=scratch)
-        np.multiply(v_t, scratch, out=v_post)   # hard reset (eq. 1b)
-        if ends is not None:
-            rows = ends.get(t)
-            if rows is not None:
-                v_final[rows] = v_post[rows]
-    if ends is not None:
-        np.copyto(st["v"], v_final)
-        _ws_release(ws, v_final)
-    _ws_release(ws, scratch, gv)
-    return spikes
 
 
 # -- backward ---------------------------------------------------------------
@@ -924,10 +835,7 @@ def fused_backward(network, record, grad_outputs: np.ndarray,
             f"grad_outputs shape {grad_outputs.shape} != outputs {outputs.shape}"
         )
     dtype = resolve_precision(precision) or outputs.dtype
-    if weights is not None and len(weights) != len(network.layers):
-        raise ShapeError(
-            f"expected {len(network.layers)} weight overrides, "
-            f"got {len(weights)}")
+    _check_weight_count(network, weights)
 
     grad_spikes = np.asarray(grad_outputs, dtype=dtype)
     cached_csrs = getattr(record, "_input_csrs", None)

@@ -1,26 +1,23 @@
 """The feedforward spiking network (paper Fig. 2/3).
 
 A :class:`SpikingNetwork` is a stack of :class:`~repro.core.layers.SpikingLinear`
-layers.  Two execution engines produce identical dynamics:
+layers.  Every batch run (:meth:`SpikingNetwork.run`) and every streamed
+chunk (:meth:`SpikingNetwork.run_stream`) goes through the vectorized
+engine in :mod:`repro.core.engine`: because the stack is feedforward and
+causal, the loop nest is reordered layer-major, the synapse filter becomes
+an in-place exponential scan over ``(batch, T, n)`` buffers, and the
+crossbar product collapses to one batched matmul per layer.  A batch run
+is a stream whose carried state starts at zero.
 
-* ``engine="step"`` — the *step-wise reference path*: at each step ``t``
-  the input spikes propagate through every layer (eq. 9 couples layer
-  ``l``'s synapse filter to layer ``l-1``'s output *at the same step*),
-  then ``t`` advances.  This is the literal unfolding of the paper's
-  Fig. 2 — easy to audit, and what :meth:`SpikingNetwork.step` exposes for
-  closed-loop use — but it pays one small matmul and several Python
-  dispatches per layer per step.
+``run(engine="step")`` keeps the *step-wise reference path* as a test
+oracle: at each step ``t`` the input spikes propagate through every layer
+(eq. 9 couples layer ``l``'s synapse filter to layer ``l-1``'s output *at
+the same step*), then ``t`` advances.  This is the literal unfolding of
+the paper's Fig. 2 — easy to audit, and what :meth:`SpikingNetwork.step`
+exposes for closed-loop use.  Spikes, membrane traces and BPTT gradients
+of the engine match it to tolerance (``tests/unit/test_engine.py``).
 
-* ``engine="fused"`` (the default) — the vectorized engine in
-  :mod:`repro.core.engine`: because the stack is feedforward and causal,
-  the loop nest is reordered layer-major, the synapse filter becomes an
-  in-place exponential scan over ``(batch, T, n)`` buffers, and the
-  crossbar product collapses to one batched matmul per layer.  Spikes,
-  membrane traces and BPTT gradients match the reference to tolerance
-  (``tests/unit/test_engine.py``); throughput is several times higher
-  (``docs/performance.md``).
-
-Both engines support ``precision="float32"|"float64"``.
+Both paths support ``precision="float32"|"float64"``.
 
 A recorded run (:class:`RunRecord`) captures, per layer, the synapse-filter
 traces ``k``, membrane values ``v`` and output spikes — everything backward
@@ -151,7 +148,8 @@ class SpikingNetwork:
             ``precision``).
         engine:
             ``"fused"`` (default, :mod:`repro.core.engine`) or ``"step"``
-            (the per-step reference loop).  Outputs agree to tolerance.
+            (the per-step reference loop, a test oracle).  Outputs agree
+            to tolerance.
         precision:
             ``"float32"`` or ``"float64"``; overrides ``dtype`` when given.
         workspace:
@@ -244,30 +242,28 @@ class SpikingNetwork:
         return outputs, run_record
 
     # -- streaming -----------------------------------------------------------
-    def new_stream_state(self, batch_size: int, engine: str = "fused",
+    def new_stream_state(self, batch_size: int,
                          precision: str | None = None,
                          dtype=np.float64) -> StreamState:
         """A fresh :class:`~repro.core.engine.StreamState` for ``batch_size``
         independent streams (see :meth:`run_stream`)."""
-        return StreamState.for_network(self, batch_size, engine=engine,
-                                       precision=precision, dtype=dtype)
+        return StreamState.for_network(self, batch_size, precision=precision,
+                                       dtype=dtype)
 
     def run_stream(self, chunk: np.ndarray, state: StreamState | None = None,
-                   engine: str | None = None, precision: str | None = None,
-                   workspace=None, lengths=None, weights=None
+                   precision: str | None = None, workspace=None,
+                   lengths=None, weights=None
                    ) -> tuple[np.ndarray, StreamState]:
         """Consume one chunk of a live spike stream; returns
         ``(outputs, state)``.
 
         Feeding a T-step sequence in chunks of any sizes produces
-        bitwise-identical output spikes to the one-shot :meth:`run` of the
-        same engine (pinned in ``tests/unit/test_streaming.py``; for the
-        fused engine the guarantee needs scipy — see
+        bitwise-identical output spikes to the one-shot :meth:`run`
+        (pinned in ``tests/unit/test_streaming.py``; see
         :func:`~repro.core.engine.run_streaming`).  The stream's memory
         lives entirely in the returned state, never in the network — the
-        fused engine leaves the layer/neuron scratch untouched, the step
-        engine borrows it during the call and captures the result back —
-        so any number of concurrent streams share one resident network.
+        layer/neuron scratch is untouched — so any number of concurrent
+        streams share one resident network.
 
         Parameters
         ----------
@@ -278,14 +274,13 @@ class SpikingNetwork:
             The :class:`~repro.core.engine.StreamState` returned by the
             previous call (advanced in place and returned), or ``None`` to
             open a new stream.
-        engine, precision:
-            Fix the stream's engine (``"fused"`` default / ``"step"``) and
-            dtype when opening it; on an existing state they must match
-            (the state representation is engine- and dtype-specific).
+        precision:
+            Fixes the stream's dtype when opening it; on an existing state
+            it must match (the state is dtype-specific).
         workspace:
-            Optional :class:`~repro.runtime.workspace.Workspace` the fused
+            Optional :class:`~repro.runtime.workspace.Workspace` the
             engine checks chunk buffers out of; the returned outputs then
-            belong to the workspace's owner.  Ignored by ``engine="step"``.
+            belong to the workspace's owner.
         lengths:
             Optional ``(batch,)`` ints marking each row's valid prefix of
             a padded chunk (the serving micro-batcher's gather format):
@@ -298,26 +293,17 @@ class SpikingNetwork:
             untouched.  Hardware-in-the-loop serving streams the resident
             software network with the crossbars' achieved weights this
             way (see :class:`~repro.hardware.mapped_network.
-            HardwareMappedNetwork.run_stream`).  Fused engine only.
+            HardwareMappedNetwork.run_stream`).
         """
         if state is None:
-            if engine is None:
-                engine = "fused"
             resolved = resolve_precision(precision) or np.dtype(np.float64)
         else:
-            if engine is not None and engine != state.engine:
-                raise ValueError(
-                    f"stream state carries engine={state.engine!r}, "
-                    f"cannot continue it with engine={engine!r}")
-            engine = state.engine
             resolved = state.dtype
             requested = resolve_precision(precision)
             if requested is not None and requested != resolved:
                 raise ValueError(
                     f"stream state carries dtype {resolved.name}, "
                     f"cannot continue it with precision={precision!r}")
-        if engine not in ("fused", "step"):
-            raise ValueError(f"engine must be 'fused' or 'step', got {engine!r}")
         chunk = np.asarray(chunk, dtype=resolved)
         if chunk.ndim != 3:
             raise ShapeError(f"expected (batch, T, n_in), got {chunk.shape}")
@@ -327,7 +313,7 @@ class SpikingNetwork:
             )
         batch = chunk.shape[0]
         if state is None:
-            state = self.new_stream_state(batch, engine=engine, dtype=resolved)
+            state = self.new_stream_state(batch, dtype=resolved)
         else:
             if not state.compatible_with(self):
                 raise ShapeError(
@@ -337,70 +323,13 @@ class SpikingNetwork:
                 raise ShapeError(
                     f"stream state carries {state.batch} streams, "
                     f"got a chunk of {batch}")
-        if engine == "fused":
-            with _obs.timed_span("engine.run_stream",
-                                 metric="engine.run_stream_ms",
-                                 engine=engine, batch=batch,
-                                 steps=int(chunk.shape[1])):
-                outputs = run_streaming(self, chunk, state, lengths=lengths,
-                                        ws=workspace, weights=weights)
-            return outputs, state
-        if weights is not None:
-            raise ValueError(
-                "weight overrides are a fused-engine feature (the step "
-                "path reads layer.weight directly)")
         with _obs.timed_span("engine.run_stream",
                              metric="engine.run_stream_ms",
-                             engine=engine, batch=batch,
+                             engine="fused", batch=batch,
                              steps=int(chunk.shape[1])):
-            outputs = self._run_stream_step(chunk, state, lengths)
+            outputs = run_streaming(self, chunk, state, lengths=lengths,
+                                    ws=workspace, weights=weights)
         return outputs, state
-
-    def _run_stream_step(self, chunk: np.ndarray,
-                         state: StreamState, lengths) -> np.ndarray:
-        """Step-engine streaming: install the carried state, advance the
-        per-step reference loop without resetting, capture it back."""
-        from .engine import _resolve_lengths
-
-        batch, steps, _ = chunk.shape
-        dtype = state.dtype
-        lengths, ends = _resolve_lengths(lengths, batch, steps)
-        outputs = np.zeros((batch, steps, self.sizes[-1]), dtype=dtype)
-        if steps == 0:
-            return outputs
-        # Install: ``step`` rebinds (never mutates) these arrays, so the
-        # state's own buffers are safe to hand over directly.
-        for layer, st in zip(self.layers, state.layers):
-            if layer.neuron_kind == "adaptive":
-                layer.k = st["k"]
-            else:
-                layer.k = np.zeros((batch, layer.n_in), dtype=dtype)
-            layer.neuron.load_stream_state(st)
-
-        for t in range(steps):
-            spikes = chunk[:, t, :]
-            for layer in self.layers:
-                spikes, _ = layer.step(spikes)
-            outputs[:, t, :] = spikes
-            if ends is not None:
-                rows = ends.get(t)
-                if rows is not None:
-                    for layer, st in zip(self.layers, state.layers):
-                        if layer.neuron_kind == "adaptive":
-                            st["k"][rows] = layer.k[rows]
-                        for key, live in layer.neuron.stream_state().items():
-                            st[key][rows] = live[rows]
-        if ends is None:
-            for layer, st in zip(self.layers, state.layers):
-                if layer.neuron_kind == "adaptive":
-                    np.copyto(st["k"], layer.k)
-                for key, live in layer.neuron.stream_state().items():
-                    np.copyto(st[key], live)
-        if lengths is None:
-            state.steps += steps
-        else:
-            state.steps += lengths
-        return outputs
 
     # -- parameters ------------------------------------------------------------
     @property

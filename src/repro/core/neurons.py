@@ -20,16 +20,17 @@ Both neurons expose the same ``reset_state`` / ``step`` interface operating
 on ``(batch, n)`` arrays so that a trained network can be re-evaluated with
 either dynamic (the paper's Table II HR swap).
 
-These classes *are* the step-wise reference implementation: ``step`` is
-called once per time step by ``SpikingLinear.step`` and holds the
-incremental state (``h``/``last_output`` for adaptive, ``v`` for hard
-reset).  The fused engine (:mod:`repro.core.engine`, the default for
-``SpikingNetwork.run``) evaluates the *same* recurrences as whole-sequence
-scans over ``(batch, T, n)`` buffers — it bypasses ``step`` entirely for
-speed but deposits the final-step state back into these objects, so code
-that inspects ``neuron.h`` / ``neuron.v`` or calls
-:meth:`AdaptiveLIFNeuron.adaptive_threshold` after a run sees identical
-values under either engine.  Equivalence (same spikes and membrane traces)
+These classes *are* the step-wise reference implementation (the test
+oracle behind ``SpikingNetwork.run(engine="step")`` and the closed-loop
+:meth:`~repro.core.network.SpikingNetwork.step`): ``step`` is called once
+per time step by ``SpikingLinear.step`` and holds the incremental state
+(``h``/``last_output`` for adaptive, ``v`` for hard reset).  The fused
+engine (:mod:`repro.core.engine`) evaluates the *same* recurrences as
+whole-sequence scans over ``(batch, T, n)`` buffers — it bypasses
+``step`` entirely for speed but deposits the final-step state back into
+these objects after a batch run, so code that inspects ``neuron.h`` /
+``neuron.v`` or calls :meth:`AdaptiveLIFNeuron.adaptive_threshold` after
+a run sees identical values either way.  Equivalence (same spikes and membrane traces)
 is enforced by ``tests/unit/test_engine.py`` and
 ``tests/property/test_neuron_equivalence.py``.
 """
@@ -134,29 +135,6 @@ class AdaptiveLIFNeuron:
         self.last_output = spikes
         return spikes, v
 
-    def stream_state(self) -> dict:
-        """The live carry arrays under their stream-state keys.
-
-        Used by the step-engine streaming path
-        (:meth:`~repro.core.network.SpikingNetwork.run_stream`) to capture
-        neuron state into an external
-        :class:`~repro.core.engine.StreamState` after a chunk; the
-        returned dict holds the *live* arrays, not copies.
-        """
-        if self.h is None or self.last_output is None:
-            raise StateError("neuron state not initialised")
-        return {"h": self.h, "o": self.last_output}
-
-    def load_stream_state(self, arrays: dict) -> None:
-        """Install carry arrays saved by :meth:`stream_state`.
-
-        The arrays are adopted by reference — safe because :meth:`step`
-        rebinds (never mutates) them.  Extra keys (e.g. the layer-level
-        ``"k"``) are ignored.
-        """
-        self.h = arrays["h"]
-        self.last_output = arrays["o"]
-
     def adaptive_threshold(self) -> np.ndarray:
         """Current effective threshold ``Vth + theta*h[t]`` (eq. 12 view)."""
         if self.h is None:
@@ -251,18 +229,6 @@ class HardResetLIFNeuron:
         # Hard reset to v_rest = 0 (paper eq. 1b): history is destroyed.
         self.v = v_pre * (1.0 - spikes)
         return spikes, v_pre
-
-    def stream_state(self) -> dict:
-        """The live membrane carry under its stream-state key (see
-        :meth:`AdaptiveLIFNeuron.stream_state`)."""
-        if self.v is None:
-            raise StateError("neuron state not initialised")
-        return {"v": self.v}
-
-    def load_stream_state(self, arrays: dict) -> None:
-        """Install a membrane carry saved by :meth:`stream_state` (adopted
-        by reference; :meth:`step` rebinds, never mutates)."""
-        self.v = arrays["v"]
 
     def __repr__(self) -> str:
         return (f"HardResetLIFNeuron(n={self.n}, params={self.params}, "

@@ -15,7 +15,7 @@ Two runtime knobs scale it beyond a single-core loop:
   are reduced in fixed order before the single optimizer step.  Evaluation
   passes shard the same way.  ``workers=0`` (default) is the serial
   in-process path, unchanged.
-* The serial path itself recycles the engine's ``(batch, T, n)`` buffers
+* The serial path itself recycles the fused kernels' ``(batch, T, n)`` buffers
   through a per-trainer :class:`~repro.runtime.workspace.Workspace`, so
   steady-state training performs no large per-batch allocations.
 
@@ -74,14 +74,9 @@ class TrainerConfig(BaseConfig):
         ``"exact"`` or ``"truncated"`` BPTT (see :mod:`repro.core.backprop`).
     shuffle:
         Reshuffle the training set every epoch.
-    engine:
-        ``"fused"`` (default, :mod:`repro.core.engine`) or ``"step"`` —
-        which simulation engine drives the forward and backward passes.
     precision:
         ``"float64"`` (default) or ``"float32"`` array precision for the
-        forward run, recorded traces and gradients.  With
-        ``engine="step"`` it applies to the forward pass only — the
-        reference backward always computes gradients in float64.
+        forward run, recorded traces and gradients.
     workers:
         ``0`` (default): serial in-process training.  ``N >= 1``: a
         persistent ``N``-process :class:`~repro.runtime.pool.WorkerPool`
@@ -98,7 +93,7 @@ class TrainerConfig(BaseConfig):
         :class:`~repro.hardware.mapped_network.HardwareProfile` switches
         on **hardware-aware training** — the codesign loop closed: every
         forward (and backward) pass runs through the weights the
-        profile's crossbar would actually realise, via the engines'
+        profile's crossbar would actually realise, via the fused kernels'
         weight-override hook, while the optimizer keeps updating the
         full-precision master weights (a straight-through estimator —
         the quantizer is treated as the identity on the backward pass).
@@ -110,7 +105,7 @@ class TrainerConfig(BaseConfig):
         (:func:`~repro.hardware.quantization.sample_programmed_weights`,
         seeded from ``profile.seed`` and the step counter), so the
         learned solution is robust to the distribution of crossbars it
-        may be mapped onto.  Requires ``engine="fused"``.  Evaluation
+        may be mapped onto.  Evaluation
         (:meth:`Trainer.evaluate`) still reports the ideal model — map
         the trained network under the same profile to measure deployed
         accuracy (see ``docs/training.md``).
@@ -124,7 +119,6 @@ class TrainerConfig(BaseConfig):
     grad_clip: float = 0.0
     gradient_mode: str = "exact"
     shuffle: bool = True
-    engine: str = "fused"
     precision: str = "float64"
     workers: int = 0
     eval_train: bool = False
@@ -142,8 +136,6 @@ class TrainerConfig(BaseConfig):
                      f"got {self.gradient_mode!r}")
         self.require(self.optimizer in ("sgd", "adam", "adamw"),
                      f"optimizer must be sgd|adam|adamw, got {self.optimizer!r}")
-        self.require(self.engine in ("fused", "step"),
-                     f"engine must be fused|step, got {self.engine!r}")
         self.require(self.precision in ("float32", "float64"),
                      f"precision must be float32|float64, "
                      f"got {self.precision!r}")
@@ -156,10 +148,6 @@ class TrainerConfig(BaseConfig):
                 and hasattr(self.hardware, "seed"),
                 f"hardware must be a HardwareProfile, "
                 f"got {type(self.hardware).__name__}")
-            self.require(self.engine == "fused",
-                         "hardware-aware training rides the fused "
-                         "engine's weight override; engine='step' "
-                         "cannot host it")
 
 
 @dataclasses.dataclass
@@ -306,7 +294,7 @@ class Trainer:
             loss_value, grads = data_parallel_grads(
                 self.network, self.loss, inputs, targets,
                 n_shards=cfg.workers, mode=cfg.gradient_mode,
-                engine=cfg.engine, precision=cfg.precision, pool=pool,
+                precision=cfg.precision, pool=pool,
                 weights=override,
             )
         else:
@@ -315,7 +303,7 @@ class Trainer:
             # training share every arithmetic operation by construction.
             loss_value, _, grads = shard_grads(
                 self.network, self.loss, inputs, targets,
-                mode=cfg.gradient_mode, engine=cfg.engine,
+                mode=cfg.gradient_mode,
                 precision=cfg.precision, ws=self._workspace,
                 weights=override,
             )
@@ -377,12 +365,10 @@ class Trainer:
                 pool = self._ensure_pool()
                 outputs = pool.run_sharded(
                     inputs, self.config.batch_size,
-                    engine=self.config.engine,
                     precision=self.config.precision, neuron_kind=kind,
                 )
                 return self.loss.metrics(outputs, targets)
         outputs = run_in_batches(model, inputs, self.config.batch_size,
-                                 engine=self.config.engine,
                                  precision=self.config.precision,
                                  workspace=self._workspace)
         return self.loss.metrics(outputs, targets)
@@ -422,7 +408,7 @@ class Trainer:
 
 
 def run_in_batches(network: SpikingNetwork, inputs: np.ndarray,
-                   batch_size: int, dtype=None, engine: str = "fused",
+                   batch_size: int, dtype=None,
                    precision: str | None = None, workers: int = 0,
                    pool=None, workspace=None) -> np.ndarray:
     """Forward-only run over a large array, batched to bound memory.
@@ -457,19 +443,17 @@ def run_in_batches(network: SpikingNetwork, inputs: np.ndarray,
                 "pool was built for a different network object; build the "
                 "pool from this network (or pass workers= for a transient "
                 "one) so the shared-memory replicas match")
-        return pool.run_sharded(inputs, batch_size, engine=engine,
-                                precision=resolved)
+        return pool.run_sharded(inputs, batch_size, precision=resolved)
     if workers >= 1:
         from ..runtime.pool import WorkerPool
 
         with WorkerPool(network, workers=workers) as transient:
-            return transient.run_sharded(inputs, batch_size, engine=engine,
+            return transient.run_sharded(inputs, batch_size,
                                          precision=resolved)
     chunks = []
     for start in range(0, inputs.shape[0], batch_size):
         outputs, _ = network.run(inputs[start:start + batch_size],
-                                 precision=resolved, engine=engine,
-                                 workspace=workspace)
+                                 precision=resolved, workspace=workspace)
         chunks.append(outputs)
     result = np.concatenate(chunks, axis=0)
     if workspace is not None:

@@ -184,7 +184,7 @@ def _run_train_step(spec: RunSpec, ctx: _HarnessContext) -> dict:
                                           seed=spec.hardware.seed)
     trainer = Trainer(net, CrossEntropyRateLoss(), TrainerConfig(
         epochs=1, batch_size=BENCH_TRAIN_BATCH, learning_rate=1e-4,
-        optimizer="adamw", engine=spec.engine, precision=spec.precision,
+        optimizer="adamw", precision=spec.precision,
         workers=spec.workers, hardware=hardware))
     try:
         return _time(lambda: trainer.train_batch(x, labels),
@@ -203,7 +203,6 @@ def _run_inference(spec: RunSpec, ctx: _HarnessContext) -> dict:
     pool = (ctx.pools.get(net, spec.workers) if spec.workers else None)
     timing = _time(
         lambda: run_in_batches(net, x, BENCH_FORWARD_BATCH,
-                               engine=spec.engine,
                                precision=spec.precision, pool=pool),
         scenario.rounds, ctx.timer, warmup=scenario.warmup)
     steps = 4 * BENCH_FORWARD_BATCH * BENCH_STEPS
@@ -230,7 +229,7 @@ def _run_variation(spec: RunSpec, ctx: _HarnessContext) -> dict:
         result["accuracy"] = accuracy_under_variation(
             net, x, labels, bits=spec.hardware.bits,
             variation=spec.hardware.variation, n_seeds=scenario.n_seeds,
-            rng=sweep_rng, engine=spec.engine, precision=spec.precision,
+            rng=sweep_rng, precision=spec.precision,
             pool=pool)
 
     timing = _time(point, scenario.rounds, ctx.timer,
@@ -261,7 +260,7 @@ def _run_serving(spec: RunSpec, ctx: _HarnessContext) -> dict:
             bits=spec.hardware.bits, variation=spec.hardware.variation,
             seed=spec.hardware.seed).build(net)
     server = ModelServer(
-        net, engine=spec.engine, precision=spec.precision,
+        net, precision=spec.precision,
         max_batch=scenario.max_batch, max_wait_ms=scenario.max_wait_ms,
         queue_limit=scenario.queue_limit, hardware=hardware,
         shadow=spec.hardware.shadow if spec.hardware else False,
@@ -348,7 +347,7 @@ def _run_fleet(spec: RunSpec, ctx: _HarnessContext) -> dict:
             bits=spec.hardware.bits, variation=spec.hardware.variation,
             seed=spec.hardware.seed).build(net)
     fleet = Fleet(
-        net, replicas=scenario.replicas, engine=spec.engine,
+        net, replicas=scenario.replicas,
         precision=spec.precision, max_batch=scenario.max_batch,
         max_wait_ms=scenario.max_wait_ms,
         queue_limit=scenario.queue_limit, hardware=hardware,
@@ -612,14 +611,13 @@ def serving_scenarios(loads: tuple = SERVING_LOADS) -> list:
 def smoke_scenarios() -> list:
     """The CI seconds-scale grid: every kind touched, tiny shapes.
 
-    The serving block is the acceptance grid — 2 engines x 2 workloads
-    (synthetic + a real sensor workload, DVS) x 1 repetition — plus a
-    speech+synthetic mix cell so a mixed arrival stream stays exercised.
+    The serving block is the acceptance grid — 2 workloads (synthetic +
+    a real sensor workload, DVS) x 1 repetition — plus a speech+synthetic
+    mix cell so a mixed arrival stream stays exercised.
     """
     smoke_load = (LoadSpec("smoke", 500.0, 40),)
     return [
         Scenario(name="smoke-serving", kind="serving",
-                 engines=("fused", "step"),
                  workloads=("synthetic", "dvs"), loads=smoke_load,
                  sizes=(700, 32, 16), sessions=8, chunk_steps=8),
         Scenario(name="smoke-serving-mix", kind="serving",

@@ -12,7 +12,7 @@ columns in the run table, never the grid).
 Validation is eager and loud: every factor value is checked at
 construction against the domains the execution layer actually supports
 (:data:`KINDS`, :data:`ENGINES`, :data:`PRECISIONS`, the workload
-registry, the server's hardware/engine compatibility rules), raising
+registry, :data:`ORACLE_KINDS`), raising
 :class:`~repro.common.errors.ExperimentError` with the offending value
 — a typo in a scenario definition must fail before any compute runs.
 
@@ -49,6 +49,10 @@ KINDS = ("forward", "backward", "train_step", "inference", "variation",
          "serving", "chaos", "fleet")
 ENGINES = ("fused", "step")
 PRECISIONS = ("float64", "float32")
+
+#: Kinds that may time the step-wise oracle (``engine="step"``): the
+#: forward run and BPTT.  Every other kind runs only the fused engine.
+ORACLE_KINDS = ("forward", "backward")
 
 #: Kinds whose cells accept a worker-pool factor.
 POOLED_KINDS = ("train_step", "inference", "variation")
@@ -268,6 +272,11 @@ class Scenario:
         if len(set(self.engines)) != len(self.engines):
             raise ExperimentError(
                 f"scenario {self.name!r}: duplicate engine levels")
+        if self.kind not in ORACLE_KINDS and self.engines != ("fused",):
+            raise ExperimentError(
+                f"scenario {self.name!r}: kind {self.kind!r} runs only the "
+                f"fused engine; only {list(ORACLE_KINDS)} time the step "
+                "oracle")
         for precision in self.precisions:
             if precision not in PRECISIONS:
                 raise ExperimentError(
@@ -310,13 +319,6 @@ class Scenario:
                 f"scenario {self.name!r}: kind {self.kind!r} has no "
                 "hardware factor; sweep hardware via train_step, "
                 "variation, or serving scenarios")
-        if self.kind in SERVING_KINDS \
-                and any(spec is not None for spec in self.hardware) \
-                and "step" in self.engines:
-            raise ExperimentError(
-                f"scenario {self.name!r}: hardware serving rides the fused "
-                "engine's weight override; drop 'step' from engines or "
-                "split the scenario")
         if self.kind == "variation" \
                 and any(spec is None for spec in self.hardware):
             raise ExperimentError(
@@ -371,12 +373,6 @@ class Scenario:
                     f"scenario {self.name!r}: canary_hardware without a "
                     "canary_weight would deploy a generation that gets "
                     "no traffic")
-            if self.canary_hardware is not None \
-                    and "step" in self.engines:
-                raise ExperimentError(
-                    f"scenario {self.name!r}: a hardware canary rides the "
-                    "fused engine's weight override; drop 'step' from "
-                    "engines or split the scenario")
             tenant_ids = [tenant.id for tenant in self.tenants]
             if len(set(tenant_ids)) != len(tenant_ids):
                 raise ExperimentError(

@@ -22,8 +22,8 @@ private read realization instead (reproducible by seed), so a serving
 session can model cycle-to-cycle read noise without perturbing anyone
 else's weights.
 
-Streaming rides the fused engine's weight-override hook
-(:func:`repro.core.engine.run_streaming` ``weights=``): the chunked
+Streaming rides the weight-override hook of
+:func:`repro.core.engine.run_streaming` (``weights=``): the chunked
 hardware run executes exactly the software streaming code path with the
 achieved weights substituted into the crossbar product, so chunked
 hardware inference is bitwise-equal to a one-shot hardware ``run`` under
@@ -151,29 +151,22 @@ class HardwareMappedNetwork:
 
     # -- inference -------------------------------------------------------------
     def run(self, inputs: np.ndarray, record: bool = False,
-            engine: str = "fused", precision: str | None = None,
+            precision: str | None = None,
             read_noise_rng: RandomState | int | None = None):
         """Inference with the achieved (quantized + noisy) weights.
 
-        ``engine`` and ``precision`` are forwarded to
+        ``precision`` is forwarded to
         :meth:`~repro.core.network.SpikingNetwork.run`.
         ``read_noise_rng`` pins a private read-noise realization for this
-        run (see :meth:`weight_list`); the mapped realization is restored
-        afterwards, so interleaved deterministic runs are unaffected.
+        run (see :meth:`weight_list`), passed as a weight override so the
+        installed mapped realization is never touched.
         """
-        if read_noise_rng is None:
-            self.weight_list()   # re-sync after any re-programming
-            return self.hardware_network.run(inputs, record=record,
-                                             engine=engine,
-                                             precision=precision)
-        self.weight_list()
-        self.hardware_network.set_weights(self.weight_list(read_noise_rng))
-        try:
-            return self.hardware_network.run(inputs, record=record,
-                                             engine=engine,
-                                             precision=precision)
-        finally:
-            self.hardware_network.set_weights(self._weights)
+        self.weight_list()   # re-sync after any re-programming
+        weights = (None if read_noise_rng is None
+                   else self.weight_list(read_noise_rng))
+        return self.hardware_network.run(inputs, record=record,
+                                         precision=precision,
+                                         weights=weights)
 
     def open_stream(self, batch: int = 1, precision: str | None = None,
                     read_noise_rng: RandomState | int | None = None
@@ -188,7 +181,7 @@ class HardwareMappedNetwork:
         """
         weights = self.weight_list(read_noise_rng)
         state = self.hardware_network.new_stream_state(
-            batch, engine="fused", precision=precision)
+            batch, precision=precision)
         return HardwareStreamState(state, weights, self.generation())
 
     def run_stream(self, chunk: np.ndarray,
@@ -203,7 +196,7 @@ class HardwareMappedNetwork:
         :meth:`repro.core.network.SpikingNetwork.run_stream` (chunked ==
         one-shot bitwise, state carried in the returned
         :class:`HardwareStreamState`, the resident networks' scratch
-        untouched), executed by the fused engine with the stream's pinned
+        untouched), executed by the streaming kernel with the stream's pinned
         weight realization substituted into every crossbar product.
 
         ``read_noise_rng`` is accepted only when opening a stream
@@ -248,7 +241,7 @@ class HardwareMappedNetwork:
 
 
 class HardwareStreamState:
-    """Carry state of a chunked hardware stream: the engine's
+    """Carry state of a chunked hardware stream: the
     :class:`~repro.core.engine.StreamState` plus the stream's pinned
     weight realization.
 
@@ -268,7 +261,7 @@ class HardwareStreamState:
 
     @property
     def steps(self) -> np.ndarray:
-        """Per-row consumed time steps (delegates to the engine state)."""
+        """Per-row consumed time steps (delegates to the stream state)."""
         return self.state.steps
 
     @property
@@ -359,7 +352,7 @@ class HardwareProfile(BaseConfig):
 
 def seed_correct(network: SpikingNetwork, inputs: np.ndarray,
                  labels: np.ndarray, bits: int, variation: float,
-                 seed: int, batch_size: int = 64, engine: str = "fused",
+                 seed: int, batch_size: int = 64,
                  precision: str | None = None,
                  device: RRAMDeviceConfig | None = None) -> int:
     """Correctly-classified count of one programming draw on ``inputs``.
@@ -380,14 +373,14 @@ def seed_correct(network: SpikingNetwork, inputs: np.ndarray,
     device = base.replace(levels=2 ** int(bits), variation=variation)
     mapped = HardwareMappedNetwork(network, device, rng=RandomState(seed))
     outputs = run_in_batches(mapped.hardware_network, inputs, batch_size,
-                             engine=engine, precision=precision)
+                             precision=precision)
     predictions = np.argmax(outputs.sum(axis=1), axis=1)
     return int(np.sum(predictions == np.asarray(labels)))
 
 
 def seed_accuracy(network: SpikingNetwork, inputs: np.ndarray,
                   labels: np.ndarray, bits: int, variation: float,
-                  seed: int, batch_size: int = 64, engine: str = "fused",
+                  seed: int, batch_size: int = 64,
                   precision: str | None = None,
                   device: RRAMDeviceConfig | None = None) -> float:
     """Accuracy of one independent programming draw (one Fig. 8 seed).
@@ -400,8 +393,8 @@ def seed_accuracy(network: SpikingNetwork, inputs: np.ndarray,
     """
     count = seed_correct(network, inputs, labels, bits=bits,
                          variation=variation, seed=seed,
-                         batch_size=batch_size, engine=engine,
-                         precision=precision, device=device)
+                         batch_size=batch_size, precision=precision,
+                         device=device)
     return count / inputs.shape[0]
 
 
@@ -409,7 +402,7 @@ def accuracy_under_variation(network: SpikingNetwork, inputs: np.ndarray,
                              labels: np.ndarray, bits: int,
                              variation: float, n_seeds: int = 3,
                              rng: RandomState | int | None = None,
-                             batch_size: int = 64, engine: str = "fused",
+                             batch_size: int = 64,
                              precision: str | None = None,
                              workers: int = 0, pool=None,
                              device: RRAMDeviceConfig | None = None
@@ -428,8 +421,8 @@ def accuracy_under_variation(network: SpikingNetwork, inputs: np.ndarray,
         Lognormal resistance-deviation sigma (Fig. 8 x-axis, 0 - 0.5).
     n_seeds:
         Independent programming draws to average over.
-    engine, precision:
-        Forwarded to the forward runs (previously ignored).
+    precision:
+        Forwarded to the forward runs.
     workers, pool:
         ``workers >= 1`` evaluates the seeds concurrently on a
         :class:`~repro.runtime.pool.WorkerPool` (``pool`` reuses an
@@ -454,7 +447,7 @@ def accuracy_under_variation(network: SpikingNetwork, inputs: np.ndarray,
                 "pool was built for a different network object; build it "
                 "from this network so the workers map the same weights")
         accuracies = pool.hw_eval(inputs, labels, tasks,
-                                  batch_size=batch_size, engine=engine,
+                                  batch_size=batch_size,
                                   precision=precision, device=device)
     elif workers >= 1 and n_seeds > 1:
         from ..runtime.pool import WorkerPool
@@ -462,14 +455,13 @@ def accuracy_under_variation(network: SpikingNetwork, inputs: np.ndarray,
         with WorkerPool(network, workers=min(workers, n_seeds)) as transient:
             accuracies = transient.hw_eval(inputs, labels, tasks,
                                            batch_size=batch_size,
-                                           engine=engine,
                                            precision=precision,
                                            device=device)
     else:
         accuracies = [
             seed_accuracy(network, inputs, labels, bits=bits,
                           variation=variation, seed=seed,
-                          batch_size=batch_size, engine=engine,
+                          batch_size=batch_size,
                           precision=precision, device=device)
             for seed in seeds
         ]

@@ -1,9 +1,9 @@
 """Parallel runtime: worker pools, data-parallel training, buffer arenas.
 
-This package scales the fused simulation engine across processes:
+This package scales the fused simulation kernels across processes:
 
 * :mod:`repro.runtime.workspace` — reusable buffer arenas that remove the
-  fused engine's per-batch allocations in steady-state training;
+  kernels' per-batch allocations in steady-state training;
 * :mod:`repro.runtime.pool` — a persistent worker pool holding the network
   weights in shared memory, executing forward chunks, gradient shards,
   Fig. 8 device-noise seeds and generic sweep tasks;

@@ -85,8 +85,8 @@ def shard_slices(n: int, n_shards: int) -> list[slice]:
 
 
 def shard_grads(network, loss, inputs: np.ndarray, targets: np.ndarray,
-                mode: str = "exact", engine: str = "fused",
-                precision: str | None = None, ws=None, weights=None):
+                mode: str = "exact", precision: str | None = None,
+                ws=None, weights=None):
     """Forward + loss + BPTT on one shard.
 
     Returns ``(loss_value, shard_size, weight_grads)``.  This is the unit
@@ -98,18 +98,16 @@ def shard_grads(network, loss, inputs: np.ndarray, targets: np.ndarray,
     the backward through substituted weight matrices — the
     straight-through-estimator step of hardware-aware training: the
     returned gradients are with respect to the override values and are
-    applied to the master weights unchanged.  Fused engine only.
+    applied to the master weights unchanged.
     """
     from ..core.backprop import backward
 
-    outputs, record = network.run(inputs, record=True, engine=engine,
-                                  precision=precision, workspace=ws,
-                                  weights=weights)
+    outputs, record = network.run(inputs, record=True, precision=precision,
+                                  workspace=ws, weights=weights)
     loss_value, grad_outputs = loss.value_and_grad(outputs, targets)
-    backward_engine = "fused" if engine == "fused" else "reference"
     result = backward(network, record, grad_outputs, mode=mode,
-                      engine=backward_engine, precision=precision,
-                      workspace=ws, need_input_grad=False, weights=weights)
+                      precision=precision, workspace=ws,
+                      need_input_grad=False, weights=weights)
     if ws is not None:
         for layer_record in record.layers:
             ws.release(layer_record.k, layer_record.v, layer_record.spikes)
@@ -140,9 +138,8 @@ def combine_shard_results(shard_results, n_total: int):
 
 def data_parallel_grads(network, loss, inputs: np.ndarray,
                         targets: np.ndarray, n_shards: int,
-                        mode: str = "exact", engine: str = "fused",
-                        precision: str | None = None, pool=None, ws=None,
-                        weights=None):
+                        mode: str = "exact", precision: str | None = None,
+                        pool=None, ws=None, weights=None):
     """Mini-batch loss + weight gradients via ``n_shards`` data shards.
 
     ``pool=None`` executes the shards serially in-process (the reference
@@ -160,13 +157,12 @@ def data_parallel_grads(network, loss, inputs: np.ndarray,
     slices = shard_slices(n, n_shards)
     if pool is not None:
         shard_results = pool.grad_shards(inputs, targets, slices, mode=mode,
-                                         engine=engine, precision=precision,
+                                         precision=precision,
                                          weights=weights)
     else:
         shard_results = [
             shard_grads(network, loss, inputs[sl], targets[sl], mode=mode,
-                        engine=engine, precision=precision, ws=ws,
-                        weights=weights)
+                        precision=precision, ws=ws, weights=weights)
             for sl in slices
         ]
     return combine_shard_results(shard_results, n)

@@ -344,8 +344,7 @@ def _handle(state: _WorkerState, msg: dict):
         network = state.network(msg.get("neuron_kind"))
         x = state.view(msg["in"])
         out_view = state.view(msg["out"])
-        outputs, _ = network.run(x, engine=msg["engine"],
-                                 precision=msg["precision"],
+        outputs, _ = network.run(x, precision=msg["precision"],
                                  workspace=state.ws)
         np.copyto(out_view, outputs)
         state.ws.release(outputs)
@@ -358,11 +357,11 @@ def _handle(state: _WorkerState, msg: dict):
         targets = state.view(msg["targets"])
         loss_value, shard_n, grads = shard_grads(
             network, state.spec.loss, x, targets, mode=msg["mode"],
-            engine=msg["engine"], precision=msg["precision"], ws=state.ws)
+            precision=msg["precision"], ws=state.ws)
         for grad, ref in zip(grads, msg["grads"]):
             # casting="no": the master sized the arena for the dtype this
-            # engine/precision combination actually produces — a silent
-            # downcast here would diverge from the serial path.
+            # precision actually produces — a silent downcast here would
+            # diverge from the serial path.
             np.copyto(state.view(ref), grad, casting="no")
         return loss_value, shard_n
     if cmd == "hw_eval":
@@ -373,8 +372,8 @@ def _handle(state: _WorkerState, msg: dict):
         return seed_correct(
             network, inputs, state.view(msg["labels"]), bits=msg["bits"],
             variation=msg["variation"], seed=msg["seed"],
-            batch_size=msg["batch_size"], engine=msg["engine"],
-            precision=msg["precision"], device=msg.get("device"))
+            batch_size=msg["batch_size"], precision=msg["precision"],
+            device=msg.get("device"))
     if cmd == "task":
         fn, item = msg["payload"]
         return fn(item)
@@ -822,7 +821,7 @@ class WorkerPool:
         )
 
     def run_sharded(self, inputs: np.ndarray, batch_size: int,
-                    engine: str = "fused", precision=None,
+                    precision=None,
                     neuron_kind: str | None = None,
                     timeout: float | None = None) -> np.ndarray:
         """Forward-only inference over ``inputs``, chunked exactly like the
@@ -838,7 +837,7 @@ class WorkerPool:
         only — latency-sensitive callers (serving ticks) should not
         share a 600 s training default.
         """
-        from ..core.engine import resolve_precision
+        from ..core import resolve_precision
 
         self.sync_weights()
         dtype = resolve_precision(precision) or np.dtype(np.float64)
@@ -853,11 +852,10 @@ class WorkerPool:
             count = min(window, n - window_start)
             self._run_window(inputs[window_start:window_start + count],
                              outputs[window_start:window_start + count],
-                             batch_size, engine, precision, neuron_kind,
-                             timeout)
+                             batch_size, precision, neuron_kind, timeout)
         return outputs
 
-    def _run_window(self, inputs, outputs, batch_size, engine, precision,
+    def _run_window(self, inputs, outputs, batch_size, precision,
                     neuron_kind, timeout=None) -> None:
         """Stage one bounded window and dispatch its chunks round-robin."""
         n, steps, _ = inputs.shape
@@ -877,7 +875,6 @@ class WorkerPool:
                                    offset=start * row_bytes),
                 "out": out_arena.ref((count, steps, n_out), dtype,
                                      offset=start * out_row_bytes),
-                "engine": engine,
                 "precision": precision,
                 "neuron_kind": neuron_kind,
             }
@@ -887,7 +884,7 @@ class WorkerPool:
 
     def grad_shards(self, inputs: np.ndarray, targets: np.ndarray,
                     slices: list[slice], mode: str = "exact",
-                    engine: str = "fused", precision=None, weights=None,
+                    precision=None, weights=None,
                     timeout: float | None = None):
         """Run one gradient shard per worker; returns per-shard
         ``(loss, n, grads)`` in shard order (the fixed reduction order).
@@ -899,26 +896,20 @@ class WorkerPool:
         straight-through estimator, bitwise-equal to the serial
         ``shard_grads(..., weights=...)`` of the same shard split.
         """
-        from ..core.engine import resolve_precision
+        from ..core import resolve_precision
 
         if len(slices) > self.workers:
             raise ValueError(
                 f"{len(slices)} shards for {self.workers} workers")
         self.sync_weights(weights)
         dtype = resolve_precision(precision) or np.dtype(np.float64)
-        # The reference backward always produces float64 gradients
-        # regardless of the forward precision; only the fused engine
-        # keeps them in ``precision``.  The arena dtype must match what
-        # the workers actually compute, or copying into it would downcast
-        # and diverge from the serial path.
-        grad_dtype = dtype if engine == "fused" else np.dtype(np.float64)
         inputs = np.asarray(inputs, dtype=dtype)
         targets = np.asarray(targets)
         in_arena = self._stage("inputs", inputs)
         t_arena = self._stage("targets", targets)
 
         shapes = [layer.weight.shape for layer in self.network.layers]
-        layer_bytes = [_aligned(int(np.prod(s)) * grad_dtype.itemsize)
+        layer_bytes = [_aligned(int(np.prod(s)) * dtype.itemsize)
                        for s in shapes]
         region = sum(layer_bytes)
         g_arena = self._arenas["grads"]
@@ -934,7 +925,7 @@ class WorkerPool:
             base = index * region
             grad_refs, cursor = [], base
             for shape, nbytes in zip(shapes, layer_bytes):
-                grad_refs.append(g_arena.ref(shape, grad_dtype,
+                grad_refs.append(g_arena.ref(shape, dtype,
                                              offset=cursor))
                 cursor += nbytes
             grad_refs_per_shard.append(grad_refs)
@@ -947,7 +938,6 @@ class WorkerPool:
                                        offset=sl.start * t_row_bytes),
                 "grads": grad_refs,
                 "mode": mode,
-                "engine": engine,
                 "precision": precision,
             }
             assignments.append((index, msg))
@@ -962,8 +952,7 @@ class WorkerPool:
         return results
 
     def hw_eval(self, inputs: np.ndarray, labels: np.ndarray, tasks,
-                batch_size: int = 64, engine: str = "fused",
-                precision=None, device=None,
+                batch_size: int = 64, precision=None, device=None,
                 timeout: float | None = None) -> list[float]:
         """One Fig. 8 accuracy per ``(bits, variation, seed)`` task.
 
@@ -1002,8 +991,7 @@ class WorkerPool:
                     "cmd": "hw_eval", "in": in_ref, "labels": labels_ref,
                     "bits": int(bits), "variation": float(variation),
                     "seed": int(seed), "batch_size": int(batch_size),
-                    "engine": engine, "precision": precision,
-                    "device": device,
+                    "precision": precision, "device": device,
                 })
                 for index, (bits, variation, seed) in enumerate(tasks)
             ]

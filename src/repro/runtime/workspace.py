@@ -1,4 +1,4 @@
-"""Reusable buffer arenas for the fused engine's steady-state hot loop.
+"""Reusable buffer arenas for the fused kernels' steady-state hot loop.
 
 Every fused forward/backward pass allocates a handful of large
 ``(batch, T, n)`` tensors — spike buffers, membrane traces, adjoint scans —
@@ -6,7 +6,7 @@ whose shapes repeat identically batch after batch during training.  A
 :class:`Workspace` turns those allocations into arena reuse: buffers are
 checked out by exact ``(shape, dtype)`` key, handed back once the training
 step that used them is finished, and served again on the next batch.  In
-steady state (constant batch shape) the engine then performs *zero* large
+steady state (constant batch shape) the kernels then perform *zero* large
 allocations per step; the only remaining churn is the small foreign arrays
 produced inside BLAS/SciPy calls.
 
@@ -20,7 +20,7 @@ Design rules that keep this safe:
   bulk-release a record's tensors without tracking which of them came from
   the arena (e.g. a membrane trace produced by a SciPy sparse product is
   foreign and simply skipped).
-* Reuse is **opt-in at the call site**: every engine entry point takes
+* Reuse is **opt-in at the call site**: every kernel entry point takes
   ``ws=None`` and behaves exactly as before when no workspace is supplied.
   Buffers that escape to user code (e.g. ``network.run`` outputs outside a
   trainer) are never pooled.
@@ -123,7 +123,7 @@ class Workspace:
         once per checkout**: the array object itself is the lease token,
         so a stale release issued *after* the buffer has been handed out
         again would return the new owner's live memory to the pool and
-        alias two users onto it.  The engine/trainer integration releases
+        alias two users onto it.  The kernel/trainer integration releases
         only at end-of-step points where no stale references survive.
         """
         for arr in arrays:

@@ -1,7 +1,7 @@
 """Micro-batching admission queue: coalesce many streams into fused ticks.
 
-One chunk from one session is tiny work — a ``(1, T, n)`` run wastes the
-fused engine on Python overhead.  The :class:`MicroBatcher` holds incoming
+One chunk from one session is tiny work — a ``(1, T, n)`` run spends the
+streaming kernel on Python overhead.  The :class:`MicroBatcher` holds incoming
 chunks briefly and releases them in *ticks* of up to ``max_batch`` chunks,
 each tick becoming a single padded fused batch
 (:meth:`~repro.serve.server.ModelServer.poll`).  Latency is capped by

@@ -17,7 +17,7 @@ micro-batcher says one is due:
 4. **scatter** — copy each advanced state row back to its session and
    complete its ticket with the row's valid output slice.
 
-With the fused engine the gather/scatter is bitwise-transparent: a session
+The gather/scatter is bitwise-transparent: a session
 receives exactly the spikes it would have received streaming alone,
 regardless of which other sessions shared its ticks (the CSR product
 computes rows independently — see ``docs/serving.md``).
@@ -27,7 +27,7 @@ software model (``hardware=``, a
 :class:`~repro.hardware.mapped_network.HardwareMappedNetwork` mapped from
 the served network): ticks then substitute the crossbars' achieved
 (quantized + variation-noisy) weights into every crossbar product via the
-fused engine's weight-override hook — same dynamics code, hardware weight
+streaming kernel's weight-override hook — same dynamics code, hardware weight
 values, same bitwise batching transparency.  ``shadow=True`` runs *both*
 models on every stream and reports their per-chunk output divergence —
 the canary deployment for a hardware realization (see
@@ -58,7 +58,7 @@ import numpy as np
 from .. import obs as _obs
 from ..common import faults as _faults
 from ..common.errors import ShapeError, StateError
-from ..core.engine import StreamState, resolve_precision
+from ..core import StreamState, resolve_precision
 from ..core.network import SpikingNetwork
 from ..core.trainer import run_in_batches
 from ..hardware.mapped_network import (
@@ -100,10 +100,6 @@ class ModelServer:
     network:
         The model to serve (weights are read at every tick, so hot-swapping
         weights in place between ticks is safe).
-    engine:
-        ``"fused"`` (default; bitwise batching-transparency with scipy) or
-        ``"step"`` (reference loop; correct but slower, and batching
-        transparency only to BLAS rounding).
     precision:
         ``"float64"`` (default) or ``"float32"`` for stream state and
         outputs.
@@ -118,8 +114,7 @@ class ModelServer:
         weights into the crossbar products (re-read through the mapped
         network's generation-keyed cache, so a ``reprogram()`` between
         ticks hot-swaps the served realization exactly like swapping
-        ideal weights does).  Requires ``engine="fused"`` — the override
-        is a fused-engine hook.
+        ideal weights does).
     shadow:
         Serve the *ideal* model but also advance a hardware shadow stream
         per session on the same chunks, recording per-chunk output
@@ -161,7 +156,7 @@ class ModelServer:
         behind the :attr:`stats` view — but emits no trace records.
     """
 
-    def __init__(self, network: SpikingNetwork, *, engine: str = "fused",
+    def __init__(self, network: SpikingNetwork, *,
                  precision: str = "float64", max_batch: int = 8,
                  max_wait_ms: float = 2.0, queue_limit: int = 64,
                  hardware: HardwareMappedNetwork | None = None,
@@ -171,16 +166,10 @@ class ModelServer:
                  shadow_threshold: int = 3, clock=time.monotonic,
                  instance: str | None = None,
                  telemetry: _obs.Telemetry | None = None):
-        if engine not in ("fused", "step"):
-            raise ValueError(f"engine must be 'fused' or 'step', got {engine!r}")
         if shadow and hardware is None:
             raise ValueError("shadow mode needs a hardware-mapped network "
                              "to shadow (pass hardware=)")
         if hardware is not None:
-            if engine != "fused":
-                raise ValueError(
-                    "hardware serving rides the fused engine's weight "
-                    "override; engine='step' cannot host it")
             if hardware.software_network is not network:
                 raise ValueError(
                     "hardware was mapped from a different network object; "
@@ -196,7 +185,6 @@ class ModelServer:
             raise ValueError(
                 f"shadow_threshold must be >= 1, got {shadow_threshold}")
         self.network = network
-        self.engine = engine
         self.hardware = hardware
         self.shadow = bool(shadow)
         self.request_ttl = (None if request_ttl_ms is None
@@ -368,14 +356,13 @@ class ModelServer:
         now = self.clock() if now is None else now
         self._session_seq += 1
         session_id = f"s{self._session_seq:06d}"
-        state = StreamState.for_network(self.network, 1, engine=self.engine,
-                                        dtype=self.dtype)
+        state = StreamState.for_network(self.network, 1, dtype=self.dtype)
         shadow_state = None
         if self.shadow:
             # Same architecture, same dtype — only the weights differ at
             # tick time, so the shadow state is an ordinary stream state.
             shadow_state = StreamState.for_network(
-                self.network, 1, engine=self.engine, dtype=self.dtype)
+                self.network, 1, dtype=self.dtype)
         self._sessions[session_id] = Session(session_id, state, now,
                                              shadow_state=shadow_state)
         return session_id
@@ -619,7 +606,7 @@ class ModelServer:
 
         This is the only computation path — the happy tick runs it on
         the full collected batch, the isolation fallback on one request
-        at a time.  The fused engine's gather/scatter transparency makes
+        at a time.  The gather/scatter transparency makes
         the two bitwise-identical, so a retried chunk's outputs equal
         the ones its failed batched tick would have produced.
 
@@ -648,7 +635,6 @@ class ModelServer:
         # (and return to) the workspace: steady-state serving with
         # repeating tick shapes allocates nothing here.
         batched = StreamState.for_network(self.network, count,
-                                          engine=self.engine,
                                           dtype=self.dtype, ws=ws)
         for row, request in enumerate(requests):
             batched.copy_row(row, request.session.state, 0)
@@ -756,7 +742,6 @@ class ModelServer:
         count = len(requests)
         with self._span("serve.shadow", batch=count) as shadow_span:
             shadow_batched = StreamState.for_network(self.network, count,
-                                                     engine=self.engine,
                                                      dtype=self.dtype, ws=ws)
             for row, request in enumerate(requests):
                 shadow_batched.copy_row(row, request.session.shadow_state, 0)
@@ -805,7 +790,7 @@ class ModelServer:
             self.hardware.weight_list()   # re-sync after any reprogram
             network = self.hardware.hardware_network
         return run_in_batches(network, inputs, batch_size,
-                              engine=self.engine, precision=self.dtype,
+                              precision=self.dtype,
                               workers=workers, pool=pool,
                               workspace=None if (workers or pool) else
                               self._workspace)
@@ -885,6 +870,6 @@ class ModelServer:
         mode = ""
         if self.hardware is not None:
             mode = ", shadow" if self.shadow else ", hardware"
-        return (f"ModelServer({arch}, engine={self.engine!r}, "
+        return (f"ModelServer({arch}, "
                 f"sessions={len(self._sessions)}, "
                 f"pending={self.batcher.pending}{mode}{model})")

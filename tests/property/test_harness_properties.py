@@ -61,6 +61,8 @@ def scenarios(draw):
         repetitions=draw(st.integers(1, 3)),
         seed=draw(st.integers(0, 10)),
     )
+    if kind not in ("forward", "backward"):
+        kwargs["engines"] = ("fused",)   # step is a forward/backward oracle
     if kind in ("train_step", "inference", "variation"):
         kwargs["workers"] = draw(workers_st)
     if kind == "train_step":
@@ -69,7 +71,6 @@ def scenarios(draw):
         kwargs["hardware"] = draw(hardware_st.filter(
             lambda specs: all(s is not None for s in specs)))
     if kind == "serving":
-        kwargs["engines"] = ("fused",)   # hardware x step is rejected
         kwargs["hardware"] = draw(hardware_st)
         kwargs["workloads"] = draw(workloads_st)
         kwargs["loads"] = draw(loads_st)
@@ -150,6 +151,7 @@ def test_invalid_scalar_factors_rejected(kwargs, match):
      "shadow"),
     (dict(kind="inference", hardware=(HardwareSpec(),)),
      "no\\s+hardware factor"),
+    (dict(kind="train_step", engines=("fused", "step")), "fused\\s+engine"),
 ])
 def test_invalid_factor_combinations_rejected(kwargs, match):
     base = dict(name="v", kind="serving")

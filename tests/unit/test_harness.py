@@ -24,7 +24,6 @@ import pytest
 from repro.common.errors import ExperimentError
 from repro.common.runtable import RUN_TABLE_COLUMNS, RunTable
 from repro.core import SpikingNetwork
-from repro.core import engine as engine_mod
 from repro.experiments import benchjson
 from repro.experiments.harness import (
     PRESETS,
@@ -40,10 +39,6 @@ from repro.experiments.scenario import (
     expand,
 )
 from repro.runtime import PoolCache
-
-needs_scipy = pytest.mark.skipif(
-    engine_mod._sparse is None,
-    reason="serving scenarios stream through the CSR fused path")
 
 
 class FakeTimer:
@@ -124,7 +119,6 @@ class TestRunTable:
             RunTable.from_csv_text(text)
 
 
-@needs_scipy
 class TestDeterminism:
     def test_same_seed_identical_table(self):
         a = run_scenarios(tiny_scenarios(seed=3), timer=FakeTimer())
@@ -218,7 +212,6 @@ class TestEnergyModel:
         assert modeled_energy_j(10, 7) == pytest.approx(70 * one)
 
 
-@needs_scipy
 class TestBenchJsonRoundTrip:
     """table -> CSV -> table -> BENCH_*.json matches in-memory conversion
     and the key structure the docs/CI consume."""
@@ -365,13 +358,13 @@ class TestPresets:
             assert len(ids) == len(set(ids)), f"{name}: duplicate run ids"
 
     def test_smoke_grid_is_the_ci_acceptance_grid(self):
-        """2 engines x 2 workloads x 1 rep, incl. a non-SHD workload."""
+        """2 workloads x 1 rep, incl. a non-SHD workload."""
         serving = [spec for scenario in smoke_scenarios()
                    for spec in expand(scenario)
                    if spec.kind == "serving"]
         engines = {spec.engine for spec in serving}
         workloads = {spec.workload for spec in serving}
-        assert engines == {"fused", "step"}
+        assert engines == {"fused"}
         assert "dvs" in workloads          # a non-SHD sensor workload
         assert any("+" in w for w in workloads)  # and a mixed stream
         assert all(spec.repetition == 0 for spec in serving)
@@ -420,7 +413,6 @@ class TestChaosValidation:
         assert len({spec.run_id for spec in specs}) == 2
 
 
-@needs_scipy
 class TestChaosRuns:
     @staticmethod
     def scenario(seed=3):

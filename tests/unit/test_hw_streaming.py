@@ -30,10 +30,6 @@ from repro.hardware import (
     accuracy_under_variation,
 )
 
-needs_scipy = pytest.mark.skipif(
-    engine_mod._sparse is None,
-    reason="fused bitwise streaming guarantee requires scipy's CSR product")
-
 #: Above the one-shot sparse-probe threshold at every layer (see
 #: tests/unit/test_streaming.py for the arithmetic).
 SIZES = (48, 44, 40)
@@ -71,7 +67,6 @@ def stream_in_chunks(mapped, x, chunk, precision=None, read_noise_rng=None):
 
 
 class TestChunkedHardwareEquivalence:
-    @needs_scipy
     def test_shapes_exercise_the_sparse_path(self):
         """The one-shot probe must pick CSR at every layer under the
         *hardware* weights too (spike densities shift with the mapped
@@ -87,7 +82,6 @@ class TestChunkedHardwareEquivalence:
             assert 0 < density <= engine_mod.SPARSE_DENSITY_THRESHOLD, (
                 index, density)
 
-    @needs_scipy
     @pytest.mark.parametrize("precision", ["float64", "float32"])
     @pytest.mark.parametrize("chunk", [1, 7, STEPS])
     def test_chunked_equals_one_shot(self, precision, chunk):
@@ -99,7 +93,6 @@ class TestChunkedHardwareEquivalence:
         assert np.array_equal(full, got)
         assert state.steps.tolist() == [STEPS] * BATCH
 
-    @needs_scipy
     @pytest.mark.parametrize("precision", ["float64", "float32"])
     @pytest.mark.parametrize("chunk", [1, 7, STEPS])
     def test_chunked_equals_one_shot_under_pinned_read_noise(
@@ -114,7 +107,6 @@ class TestChunkedHardwareEquivalence:
                                   read_noise_rng=7)
         assert np.array_equal(full, got)
 
-    @needs_scipy
     def test_hardware_differs_from_ideal(self):
         """Sanity: the mapped realization actually moves the outputs
         (otherwise every equivalence above would be vacuous)."""
@@ -186,17 +178,14 @@ class TestWeightProvider:
             mapped.run_stream(x, state, read_noise_rng=8)
 
     def test_weight_override_validation(self):
-        """The engine hook itself rejects malformed overrides."""
+        """The streaming hook itself rejects malformed overrides."""
         net = make_net()
         x = make_inputs(batch=2, steps=6)
         with pytest.raises(ShapeError):
             net.run_stream(x, weights=[net.layers[0].weight])  # wrong count
         with pytest.raises(ShapeError):
             net.run_stream(x, weights=[w.T for w in net.weights])
-        with pytest.raises(ValueError):
-            net.run_stream(x, engine="step", weights=list(net.weights))
 
-    @needs_scipy
     def test_override_with_own_weights_is_identity(self):
         """weights= with the network's own arrays must change nothing —
         the override substitutes values, not code paths."""

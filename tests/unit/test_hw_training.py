@@ -270,8 +270,6 @@ class TestHardwareAwareTrainer:
         profile = HardwareProfile.create(bits=4)
         with pytest.raises(ConfigError):
             TrainerConfig(hardware="not-a-profile")
-        with pytest.raises(ConfigError):
-            TrainerConfig(hardware=profile, engine="step")
         TrainerConfig(hardware=profile)  # valid
 
     def test_hardware_weights_quantize_only_is_fake_quantize(self):

@@ -377,24 +377,6 @@ class TestWorkerPool:
                 after, run_in_batches(net, x, batch_size=16))
             assert not np.array_equal(before, after)
 
-    def test_step_engine_float32_grads_stay_float64(self):
-        # The reference backward always produces float64 gradients; the
-        # pooled path must not downcast them into a float32 arena.
-        x, y = make_task()
-        net = make_net(x=x)
-        loss = CrossEntropyRateLoss()
-        kwargs = dict(mode="exact", engine="step", precision="float32")
-        loss_s, grads_s = data_parallel_grads(net, loss, x, y, n_shards=2,
-                                              **kwargs)
-        with WorkerPool(net, workers=2, loss=loss) as pool:
-            loss_p, grads_p = data_parallel_grads(net, loss, x, y,
-                                                  n_shards=2, pool=pool,
-                                                  **kwargs)
-        assert loss_p == loss_s
-        for a, b in zip(grads_s, grads_p):
-            assert a.dtype == b.dtype == np.float64
-            np.testing.assert_array_equal(a, b)
-
     def test_fig8_point_identical_for_fixed_seeds(self):
         x, y = make_task()
         net = make_net(x=x)

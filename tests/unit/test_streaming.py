@@ -1,16 +1,15 @@
 """Streaming equivalence: chunked ``run_stream`` == one-shot ``run``.
 
 The load-bearing guarantee of the serving layer: a T-step sequence fed in
-chunks of any sizes — through either engine, at either precision —
-produces *bitwise-identical* output spikes to the one-shot run, and a
-padded heterogeneous batch leaves every stream exactly where its own data
-ended.
+chunks of any sizes — at either precision — produces *bitwise-identical*
+output spikes to the one-shot run, and a padded heterogeneous batch leaves
+every stream exactly where its own data ended.
 
-For the fused engine the guarantee rests on the CSR spike product
-computing output rows independently (dense GEMM does not: BLAS picks
-different summation splits for different row counts).  The streaming path
-forces CSR; the one-shot probe picks it when the input is large and
-sparse enough — the equivalence shapes here sit above that threshold and
+The guarantee rests on the CSR spike product computing output rows
+independently (dense GEMM does not: BLAS picks different summation splits
+for different row counts).  The streaming path forces CSR; the one-shot
+probe picks it when the input is large and sparse enough — the equivalence
+shapes here sit above that threshold and
 ``test_shapes_exercise_the_sparse_path`` pins the fact.
 """
 
@@ -20,10 +19,6 @@ import pytest
 from repro.common.errors import ShapeError
 from repro.core import SpikingNetwork, StreamState, exp_scan
 from repro.core import engine as engine_mod
-
-needs_scipy = pytest.mark.skipif(
-    engine_mod._sparse is None,
-    reason="fused bitwise streaming guarantee requires scipy's CSR product")
 
 #: Above the one-shot sparse-probe threshold at every layer:
 #: 8*48*48 = 18432 and 8*48*44 = 16896, both >= _SPARSE_MIN_SIZE.
@@ -44,18 +39,17 @@ def make_inputs(batch=BATCH, steps=STEPS, seed=0):
     return (rng.random((batch, steps, SIZES[0])) < DENSITY).astype(np.float64)
 
 
-def stream_in_chunks(net, x, chunk, engine, precision):
+def stream_in_chunks(net, x, chunk, precision):
     state = None
     outs = []
     for start in range(0, x.shape[1], chunk):
         out, state = net.run_stream(x[:, start:start + chunk], state,
-                                    engine=engine, precision=precision)
+                                    precision=precision)
         outs.append(out)
     return np.concatenate(outs, axis=1), state
 
 
 class TestChunkedEquivalence:
-    @needs_scipy
     def test_shapes_exercise_the_sparse_path(self):
         """The one-shot fused probe must pick CSR at every layer for the
         bitwise guarantee to be a theorem rather than luck."""
@@ -70,22 +64,20 @@ class TestChunkedEquivalence:
             assert 0 < density <= engine_mod.SPARSE_DENSITY_THRESHOLD, (
                 index, density)
 
-    @needs_scipy
     @pytest.mark.parametrize("kind", ["adaptive", "hard_reset"])
-    @pytest.mark.parametrize("engine", ["fused", "step"])
+    @pytest.mark.parametrize("engine", ["fused"])
     @pytest.mark.parametrize("precision", ["float64", "float32"])
     @pytest.mark.parametrize("chunk", [1, 7, STEPS])
     def test_chunked_equals_one_shot(self, kind, engine, precision, chunk):
         net = make_net(kind)
         x = make_inputs()
         full, _ = net.run(x, engine=engine, precision=precision)
-        got, state = stream_in_chunks(net, x, chunk, engine, precision)
+        got, state = stream_in_chunks(net, x, chunk, precision)
         assert got.dtype == full.dtype
         assert np.array_equal(full, got)
         assert state.steps.tolist() == [STEPS] * BATCH
 
-    @needs_scipy
-    @pytest.mark.parametrize("engine", ["fused", "step"])
+    @pytest.mark.parametrize("engine", ["fused"])
     def test_irregular_chunk_boundaries(self, engine):
         net = make_net()
         x = make_inputs()
@@ -94,7 +86,7 @@ class TestChunkedEquivalence:
         outs = []
         bounds = [0, 1, 6, 7, 20, 43, STEPS]
         for a, b in zip(bounds[:-1], bounds[1:]):
-            out, state = net.run_stream(x[:, a:b], state, engine=engine)
+            out, state = net.run_stream(x[:, a:b], state)
             outs.append(out)
         assert np.array_equal(full, np.concatenate(outs, axis=1))
 
@@ -111,20 +103,10 @@ class TestChunkedEquivalence:
                 assert np.array_equal(a[key], b[key])
         assert state.steps.tolist() == before.steps.tolist()
 
-    def test_step_engine_streaming_needs_no_scipy(self):
-        """The step-engine guarantee is pure per-step arithmetic identity
-        (same matmul shapes either way) — scipy irrelevant."""
-        net = make_net()
-        x = make_inputs(batch=3, steps=12)
-        full, _ = net.run(x, engine="step")
-        got, _ = stream_in_chunks(net, x, 5, "step", None)
-        assert np.array_equal(full, got)
-
 
 class TestPaddedHeterogeneousBatch:
     """The micro-batcher primitive: gathered rows + per-row lengths."""
 
-    @needs_scipy
     def test_padded_batch_matches_solo_streams(self):
         net = make_net()
         rng = np.random.default_rng(3)
@@ -162,16 +144,14 @@ class TestPaddedHeterogeneousBatch:
 
 
 class TestStateContract:
-    def test_engine_and_precision_are_sticky(self):
+    def test_precision_is_sticky(self):
         net = make_net()
         x = make_inputs(batch=2, steps=4)
-        _, state = net.run_stream(x, engine="fused", precision="float32")
-        with pytest.raises(ValueError):
-            net.run_stream(x, state, engine="step")
+        _, state = net.run_stream(x, precision="float32")
         with pytest.raises(ValueError):
             net.run_stream(x, state, precision="float64")
         # matching values pass
-        net.run_stream(x, state, engine="fused", precision="float32")
+        net.run_stream(x, state, precision="float32")
 
     def test_batch_and_architecture_mismatch(self):
         net = make_net()
@@ -187,11 +167,10 @@ class TestStateContract:
             swapped.run_stream(x, state)
 
     def test_copy_row_rejects_foreign_states(self):
-        net = make_net()
-        fused = StreamState.for_network(net, 1, engine="fused")
-        step = StreamState.for_network(net, 1, engine="step")
+        adaptive = StreamState.for_network(make_net(), 1)
+        hard_reset = StreamState.for_network(make_net("hard_reset"), 1)
         with pytest.raises(ValueError):
-            fused.copy_row(0, step, 0)
+            adaptive.copy_row(0, hard_reset, 0)
 
     def test_clone_is_independent(self):
         net = make_net()

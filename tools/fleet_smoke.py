@@ -7,9 +7,9 @@ deterministic gates over the multi-tenant serving fleet
 
 1. **Equivalence gate** — a 1-replica :class:`~repro.serve.Fleet` must
    return outputs bitwise-identical to a bare
-   :class:`~repro.serve.ModelServer` streaming the same session, for
-   every available engine: the router, admission control, and canary
-   plumbing may not perturb a single computed spike.
+   :class:`~repro.serve.ModelServer` streaming the same session: the
+   router, admission control, and canary plumbing may not perturb a
+   single computed spike.
 2. **Isolation gate** — a hot tenant driven past its token-bucket quota
    must absorb every quota rejection itself; the cold tenant sharing
    the fleet finishes with *zero* rejections of any kind.
@@ -36,7 +36,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import numpy as np  # noqa: E402
 
 from repro.core import SpikingNetwork  # noqa: E402
-from repro.core import engine as engine_mod  # noqa: E402
 
 AVAILABILITY_FLOOR = 0.95
 
@@ -60,51 +59,42 @@ def make_chunk(steps: int = 6, seed: int = 0,
     return (rng.random((steps, SIZES[0])) < density).astype(np.float64)
 
 
-def _engines() -> list[str]:
-    engines = ["step"]
-    if engine_mod._sparse is not None:
-        engines.append("fused")
-    return engines
-
-
 def equivalence_gate() -> list[str]:
-    """1-replica fleet outputs bitwise == bare server, per engine."""
+    """1-replica fleet outputs bitwise == bare server."""
     from repro.serve import Fleet, ModelServer
 
     errors = []
     chunks = [make_chunk(seed=i) for i in range(4)]
-    for engine in _engines():
-        server = ModelServer(make_net(), engine=engine, max_batch=4,
-                             max_wait_ms=0.0)
-        try:
-            sid = server.open_session(now=0.0)
-            solo = []
-            for i, chunk in enumerate(chunks):
-                ticket = server.submit(sid, chunk, now=float(i))
-                server.flush(now=float(i))
-                solo.append(ticket.outputs.copy())
-        finally:
-            server.close()
+    server = ModelServer(make_net(), max_batch=4, max_wait_ms=0.0)
+    try:
+        sid = server.open_session(now=0.0)
+        solo = []
+        for i, chunk in enumerate(chunks):
+            ticket = server.submit(sid, chunk, now=float(i))
+            server.flush(now=float(i))
+            solo.append(ticket.outputs.copy())
+    finally:
+        server.close()
 
-        fleet = Fleet(make_net(), replicas=1, engine=engine, max_batch=4,
-                      max_wait_ms=0.0, seed=3)
-        try:
-            fid = fleet.open_session("t0", now=0.0)
-            routed = []
-            for i, chunk in enumerate(chunks):
-                ticket = fleet.submit(fid, chunk, now=float(i))
-                fleet.flush(now=float(i))
-                routed.append(ticket.outputs.copy())
-            fleet.check_invariants()
-        finally:
-            fleet.close()
+    fleet = Fleet(make_net(), replicas=1, max_batch=4, max_wait_ms=0.0,
+                  seed=3)
+    try:
+        fid = fleet.open_session("t0", now=0.0)
+        routed = []
+        for i, chunk in enumerate(chunks):
+            ticket = fleet.submit(fid, chunk, now=float(i))
+            fleet.flush(now=float(i))
+            routed.append(ticket.outputs.copy())
+        fleet.check_invariants()
+    finally:
+        fleet.close()
 
-        same = all(np.array_equal(a, b) for a, b in zip(solo, routed))
-        if not same:
-            errors.append(f"{engine}: 1-replica fleet outputs diverged "
-                          "from the bare ModelServer")
-        print(f"equivalence gate [{engine}]: {len(chunks)} chunks "
-              f"bitwise={'ok' if same else 'FAIL'}")
+    same = all(np.array_equal(a, b) for a, b in zip(solo, routed))
+    if not same:
+        errors.append("1-replica fleet outputs diverged from the bare "
+                      "ModelServer")
+    print(f"equivalence gate: {len(chunks)} chunks "
+          f"bitwise={'ok' if same else 'FAIL'}")
     return errors
 
 
@@ -113,7 +103,7 @@ def isolation_gate() -> list[str]:
     from repro.serve import Fleet, TenantQuota
     from repro.serve.loadgen import TenantLoad, open_loop_fleet
 
-    fleet = Fleet(make_net(), replicas=2, engine="step", max_batch=8,
+    fleet = Fleet(make_net(), replicas=2, max_batch=8,
                   max_wait_ms=0.5, queue_limit=64, seed=5)
     try:
         report = open_loop_fleet(
@@ -152,7 +142,7 @@ def canary_gate() -> list[str]:
     from repro.serve import Fleet
 
     errors = []
-    fleet = Fleet(make_net(), replicas=2, engine="step", max_batch=8,
+    fleet = Fleet(make_net(), replicas=2, max_batch=8,
                   max_wait_ms=0.0, seed=11)
     try:
         old_primary = fleet.primary_generation
