@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-baseline bench bench-json bench-serving bench-aware bench-table bench-smoke bench-paper chaos-smoke obs-smoke fleet-smoke docs quickstart serve-demo
+.PHONY: test lint lint-baseline bench bench-json bench-serving bench-aware bench-table bench-smoke bench-paper perfbench-smoke chaos-smoke obs-smoke fleet-smoke docs quickstart serve-demo
 
 ## tier-1 verify: the full unit/property/integration suite
 test:
@@ -49,6 +49,11 @@ bench-smoke:
 ## regenerate every paper table/figure (REPRO_PROFILE=full for paper scale)
 bench-paper:
 	$(PYTHON) -m pytest benchmarks -q
+
+## benchmark self-test (perfbench/, BENCHMARK.json): result schema, the
+## bitwise-serving and gradient checks catch planted corruptions
+perfbench-smoke:
+	$(PYTHON) -m pytest perfbench/smoke.py -q
 
 ## fault-injection gates: pool bitwise self-healing + chaos availability
 chaos-smoke:

@@ -59,9 +59,8 @@ default) keeps the original allocate-per-call behavior.
 Sparse products use :mod:`scipy.sparse` (a required dependency).
 
 Equivalence with the step-wise reference (same spikes, membrane traces and
-gradients to tolerance) is tested in ``tests/unit/test_engine.py``; the
-speedup is measured by ``benchmarks/bench_throughput.py`` and recorded in
-``docs/performance.md``.
+gradients to tolerance) is tested in ``tests/unit/test_engine.py``; cost is
+measured per phase by ``perfbench/`` (workloads in ``BENCHMARK.json``).
 """
 
 from __future__ import annotations
@@ -310,9 +309,8 @@ def _check_weight_count(network, weights) -> None:
             f"got {len(weights)}")
 
 
-def fused_layer_forward(layer, xs: np.ndarray, need_k: bool = True,
-                        _csr=_AUTO_CSR, ws=None, weight=None
-                        ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+def fused_layer_forward(layer, xs: np.ndarray, _csr=_AUTO_CSR, ws=None,
+                        weight=None) -> tuple[np.ndarray, np.ndarray]:
     """Run one :class:`~repro.core.layers.SpikingLinear` over a whole sequence.
 
     A batch run is a stream whose carry starts at zero: the layer goes
@@ -327,11 +325,6 @@ def fused_layer_forward(layer, xs: np.ndarray, need_k: bool = True,
         The layer to run (state is reinitialised, as in ``layer.run``).
     xs:
         Input spikes, shape ``(batch, T, n_in)``; dtype selects precision.
-    need_k:
-        Materialise the full synapse-filter trace ``k`` for recording.
-        The fused math never needs it (the filter is applied *after* the
-        crossbar product — the two commute), so pure inference skips the
-        ``(batch, T, n_in)`` buffer entirely.
     ws:
         Optional :class:`~repro.runtime.workspace.Workspace` serving the
         large buffers (identical results; the caller recycles them).
@@ -343,14 +336,12 @@ def fused_layer_forward(layer, xs: np.ndarray, need_k: bool = True,
 
     Returns
     -------
-    (spikes, k, v):
-        ``spikes`` and ``v`` have shape ``(batch, T, n_out)``; ``k`` is the
-        synapse-filter trace ``(batch, T, n_in)`` for adaptive layers when
-        ``need_k`` (else ``None``), and always ``None`` for hard-reset
-        layers.  These are exactly the tensors a
-        :class:`~repro.core.layers.LayerStepRecord` holds, so recording is
-        free.  The layer/neuron incremental state is left at the final
-        step's values, matching the step-wise path.
+    (spikes, v):
+        Both ``(batch, T, n_out)``.  The synapse-filter trace ``k`` is
+        never formed (the filter runs *after* the crossbar product — the
+        two commute); a record scans it from ``xs`` if it is read.  The
+        layer/neuron incremental state is left at the final step's values,
+        matching the step-wise path.
     """
     xs = np.asarray(xs)
     if xs.ndim != 3:
@@ -366,9 +357,7 @@ def fused_layer_forward(layer, xs: np.ndarray, need_k: bool = True,
     if steps == 0:
         layer.reset_state(batch, dtype=dtype)
         empty = np.zeros((batch, 0, layer.n_out), dtype=dtype)
-        k = (np.zeros((batch, 0, n_in), dtype=dtype)
-             if adaptive and need_k else None)
-        return empty, k, empty.copy()
+        return empty, empty.copy()
 
     carry = _zero_carry(layer, batch, dtype)
     kernel = _adaptive_forward if adaptive else _hard_reset_forward
@@ -381,20 +370,15 @@ def fused_layer_forward(layer, xs: np.ndarray, need_k: bool = True,
         # filter buffer of hard-reset layers.
         layer.k = np.zeros((batch, n_in), dtype=dtype)
         neuron.v = carry["v"]
-        return spikes, None, v
-    k = None
-    if need_k:
-        k = exp_scan(xs, layer.alpha, out=_ws_empty(ws, xs.shape, dtype))
-        layer.k = k[:, -1].copy()
-    else:
-        # Final filter state without the full trace: k[T-1] is the
-        # alpha^(T-1-t)-weighted sum of the inputs.
-        decay_powers = layer.alpha ** np.arange(steps - 1, -1, -1,
-                                                dtype=np.float64)
-        layer.k = np.matmul(decay_powers.astype(dtype), xs)
+        return spikes, v
+    # Final filter state without the full trace: k[T-1] is the
+    # alpha^(T-1-t)-weighted sum of the inputs.
+    decay_powers = layer.alpha ** np.arange(steps - 1, -1, -1,
+                                            dtype=np.float64)
+    layer.k = np.matmul(decay_powers.astype(dtype), xs)
     neuron.h = carry["h"]
     neuron.last_output = carry["o"]
-    return spikes, k, v
+    return spikes, v
 
 
 def _zero_carry(layer, batch: int, dtype, zeros=np.zeros
@@ -561,11 +545,11 @@ def fused_run(network, inputs: np.ndarray, record: bool = False, ws=None,
     ``inputs`` must already be a validated ``(batch, T, n_input)`` array of
     the desired precision (``SpikingNetwork.run`` handles coercion).
     Returns ``(outputs, RunRecord | None)`` identical in structure to the
-    step-wise path; the per-layer ``k``/``v``/``spikes`` tensors come for
-    free because the engine materialises them anyway for the batched
-    matmuls.  With a workspace and ``record=False`` the intermediate
-    layers' tensors are recycled as soon as the next layer has consumed
-    them (the returned outputs stay checked out for the caller).
+    step-wise path; the per-layer ``v``/``spikes`` tensors come for free,
+    and ``k`` is scanned from the layer input only if read.  With a
+    workspace and ``record=False`` the intermediate layers' tensors are
+    recycled as soon as the next layer has consumed them (the returned
+    outputs stay checked out for the caller).
 
     ``weights`` (optional, one ``(n_out, n_in)`` array per layer)
     substitutes the crossbar product's weight matrices without touching
@@ -586,11 +570,13 @@ def fused_run(network, inputs: np.ndarray, record: bool = False, ws=None,
     for index, layer in enumerate(network.layers):
         csr = _as_csr(x.reshape(-1, layer.n_in), ws)
         input_csrs.append(csr)
-        spikes, k, v = fused_layer_forward(
-            layer, x, need_k=record, _csr=csr, ws=ws,
+        spikes, v = fused_layer_forward(
+            layer, x, _csr=csr, ws=ws,
             weight=None if weights is None else weights[index])
         if record:
-            layer_records.append(LayerStepRecord(k=k, v=v, spikes=spikes))
+            layer_records.append(LayerStepRecord(
+                k=None, v=v, spikes=spikes, alpha=layer.alpha,
+                inputs=x if layer.neuron_kind == "adaptive" else None))
         elif ws is not None:
             ws.release(v)
             if x is not inputs:
@@ -889,6 +875,25 @@ def fused_backward(network, record, grad_outputs: np.ndarray,
                           input_grad_fn=input_grad_fn)
 
 
+def _surrogate_eps(layer, v: np.ndarray, ws) -> np.ndarray:
+    """``eps = surrogate'(v - v_th)`` in ``v``'s dtype, in workspace buffers.
+
+    The same elementwise ops in the same order as
+    ``derivative(v - v_th).astype(v.dtype)`` — the surrogate computes in
+    float64, in place over the centred membrane — so the gradients are
+    bitwise those of the allocating form.  The caller releases ``eps``.
+    """
+    wide = _ws_empty(ws, v.shape, np.float64)
+    np.subtract(v, layer.params.v_th, out=wide)
+    layer.surrogate.derivative(wide, out=wide)
+    if v.dtype == np.float64:
+        return wide
+    eps = _ws_empty(ws, v.shape, v.dtype)
+    np.copyto(eps, wide)
+    _ws_release(ws, wide)
+    return eps
+
+
 def _fused_backward_adaptive(layer, layer_record, layer_inputs, grad_spikes,
                              mode, dtype, csr=_AUTO_CSR, defer=False,
                              ws=None, override=None):
@@ -914,14 +919,13 @@ def _fused_backward_adaptive(layer, layer_record, layer_inputs, grad_spikes,
     :func:`spike_outer` contract over the spike nonzeros only, and is why
     the record's ``k`` tensor is never touched here.
     """
-    params = layer.params
-    theta = params.theta
+    theta = layer.params.theta
     beta = layer.neuron.beta_r
 
     v = np.asarray(layer_record.v, dtype=dtype)
     batch, steps, n_out = v.shape
 
-    eps = np.asarray(layer.surrogate.derivative(v - params.v_th), dtype=dtype)
+    eps = _surrogate_eps(layer, v, ws)
 
     # The buffer the deferred (layer-0) closure captures must outlive this
     # call indefinitely, so it is never taken from the workspace.
@@ -946,7 +950,7 @@ def _fused_backward_adaptive(layer, layer_record, layer_inputs, grad_spikes,
             np.multiply(dv[:, t + 1], theta, out=scratch)
             np.subtract(grad_spikes[:, t], scratch, out=dv[:, t])
             dv[:, t] *= eps[:, t]
-    _ws_release(ws, scratch)
+    _ws_release(ws, scratch, eps)
 
     if defer and mode == "exact":
         e = exp_scan_reverse(dv, layer.alpha)          # captured: plain
@@ -992,7 +996,6 @@ def _fused_backward_hard_reset(layer, layer_record, layer_inputs,
                                grad_spikes, dtype, csr=_AUTO_CSR,
                                defer=False, ws=None, override=None):
     """Hard-reset adjoints with the matmuls hoisted (reset gate detached)."""
-    params = layer.params
     alpha = layer.neuron.alpha
     input_gain = getattr(layer.neuron, "input_gain", 1.0)
 
@@ -1001,8 +1004,7 @@ def _fused_backward_hard_reset(layer, layer_record, layer_inputs,
     layer_inputs = np.asarray(layer_inputs, dtype=dtype)
     batch, steps, n_out = v_pre.shape
 
-    eps = np.asarray(layer.surrogate.derivative(v_pre - params.v_th),
-                     dtype=dtype)
+    eps = _surrogate_eps(layer, v_pre, ws)
 
     # delta_v[t] = dE/dO[t]*eps[t] + alpha*(1 - O[t])*delta_v[t+1]
     # (``dv`` is what a deferred closure captures, so plain-allocated then).
@@ -1019,7 +1021,7 @@ def _fused_backward_hard_reset(layer, layer_record, layer_inputs,
         scratch *= alpha
         np.multiply(grad_spikes[:, t], eps[:, t], out=dv_t)
         dv_t += scratch
-    _ws_release(ws, scratch)
+    _ws_release(ws, scratch, eps)
 
     weight = np.asarray(layer.weight if override is None else override,
                         dtype=dtype)

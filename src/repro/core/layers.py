@@ -38,17 +38,31 @@ class LayerStepRecord:
     ----------
     k:
         Synapse-filter states, shape (batch, T, n_in).  ``None`` for
-        hard-reset layers (which have no separate synapse filter).
+        hard-reset layers (which have no separate synapse filter).  Given
+        ``inputs`` and ``alpha`` instead, ``k = exp_scan(inputs, alpha)``
+        is computed on first read (the fused backward never reads it), so
+        it is valid only while ``inputs`` are not recycled.
     v:
         Membrane values (pre-reset for HR), shape (batch, T, n_out).
     spikes:
         Output spikes, shape (batch, T, n_out).
     """
 
-    def __init__(self, k: np.ndarray | None, v: np.ndarray, spikes: np.ndarray):
-        self.k = k
+    def __init__(self, k: np.ndarray | None, v: np.ndarray, spikes: np.ndarray,
+                 inputs: np.ndarray | None = None, alpha: float | None = None):
+        self._k = k
+        self._inputs = inputs
+        self._alpha = alpha
         self.v = v
         self.spikes = spikes
+
+    @property
+    def k(self) -> np.ndarray | None:
+        if self._inputs is not None:
+            from .engine import exp_scan   # local import: avoids a cycle
+            self._k = exp_scan(self._inputs, self._alpha)
+            self._inputs = None
+        return self._k
 
 
 class SpikingLinear:
@@ -148,12 +162,12 @@ class SpikingLinear:
                              f"got {xs.shape}")
         if engine == "fused":
             from .engine import fused_layer_forward
-            spikes, ks, vs = fused_layer_forward(self, xs, need_k=record)
+            spikes, vs = fused_layer_forward(self, xs)
             rec = None
             if record:
                 rec = LayerStepRecord(
-                    k=ks if self.neuron_kind == "adaptive" else None,
-                    v=vs, spikes=spikes,
+                    k=None, v=vs, spikes=spikes, alpha=self.alpha,
+                    inputs=xs if self.neuron_kind == "adaptive" else None,
                 )
             return spikes, rec
         batch, steps, _ = xs.shape

@@ -52,7 +52,9 @@ class RunRecord:
     (membrane values, pre-reset for HR) and ``spikes`` (both
     ``(batch, T, n_out)``).  The dtype is whatever precision the run used;
     both engines produce the same layout, so BPTT and the analysis code
-    never need to know which engine recorded it.
+    never need to know which engine recorded it.  A fused run scans ``k``
+    from :meth:`layer_input` on first read, so it is valid only until a
+    workspace recycles the layer inputs.
 
     Attributes
     ----------

@@ -37,6 +37,17 @@ __all__ = [
 PAPER_SIGMA = 1.0 / np.sqrt(2.0 * np.pi)
 
 
+def _work_array(x, out: np.ndarray | None) -> np.ndarray:
+    """The float64 array a derivative is computed in place over: ``out``
+    holding ``x`` (exactly, ``x`` is float32 or float64), or a fresh copy."""
+    if out is None:
+        return np.array(x, dtype=np.float64)
+    if out.dtype != np.float64:
+        raise TypeError(f"out must be float64, got {out.dtype}")
+    np.copyto(out, x)
+    return out
+
+
 class SurrogateGradient:
     """Interface: a smooth stand-in for the Heaviside derivative.
 
@@ -44,11 +55,17 @@ class SurrogateGradient:
     value ``x = v - Vth`` to the pseudo-derivative ``dO/dv`` used in BPTT.
     The forward spike decision always remains the exact Heaviside — the
     surrogate only affects gradients.
+
+    ``derivative`` always computes in float64.  Its optional ``out`` is a
+    float64 array of ``x``'s shape (it may be ``x`` itself) that receives
+    the result, so the fused backward pass evaluates the surrogate without
+    any full-size temporary; the result is bitwise the same either way.
     """
 
     name = "base"
 
-    def derivative(self, x: np.ndarray) -> np.ndarray:
+    def derivative(self, x: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
         raise NotImplementedError
 
     def smooth_step(self, x: np.ndarray) -> np.ndarray:
@@ -73,11 +90,16 @@ class ErfcSurrogate(SurrogateGradient):
             raise ValueError(f"sigma must be positive, got {sigma}")
         self.sigma = float(sigma)
 
-    def derivative(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        return np.exp(-(x * x) / (2.0 * self.sigma ** 2)) / (
-            np.sqrt(2.0 * np.pi) * self.sigma
-        )
+    def derivative(self, x: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+        # exp(-(x*x) / (2 sigma^2)) / (sqrt(2 pi) sigma), op by op in place.
+        y = _work_array(x, out)
+        np.multiply(y, y, out=y)
+        np.negative(y, out=y)
+        y /= 2.0 * self.sigma ** 2
+        np.exp(y, out=y)
+        y /= np.sqrt(2.0 * np.pi) * self.sigma
+        return y
 
     def smooth_step(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -94,9 +116,16 @@ class SigmoidSurrogate(SurrogateGradient):
             raise ValueError(f"beta must be positive, got {beta}")
         self.beta = float(beta)
 
-    def derivative(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        return 1.0 / (1.0 + self.beta * np.abs(x)) ** 2
+    def derivative(self, x: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+        # 1 / (1 + beta*|x|)**2, op by op in place.
+        y = _work_array(x, out)
+        np.abs(y, out=y)
+        y *= self.beta
+        y += 1.0
+        np.square(y, out=y)
+        np.divide(1.0, y, out=y)
+        return y
 
     def smooth_step(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -114,9 +143,16 @@ class TriangleSurrogate(SurrogateGradient):
             raise ValueError(f"width must be positive, got {width}")
         self.width = float(width)
 
-    def derivative(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        return np.maximum(0.0, 1.0 - np.abs(x) / self.width) / self.width
+    def derivative(self, x: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+        # max(0, 1 - |x|/width) / width, op by op in place.
+        y = _work_array(x, out)
+        np.abs(y, out=y)
+        y /= self.width
+        np.subtract(1.0, y, out=y)
+        np.maximum(0.0, y, out=y)
+        y /= self.width
+        return y
 
     def smooth_step(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -134,10 +170,14 @@ class RectangularSurrogate(SurrogateGradient):
             raise ValueError(f"half_width must be positive, got {half_width}")
         self.half_width = float(half_width)
 
-    def derivative(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        inside = np.abs(x) <= self.half_width
-        return inside / (2.0 * self.half_width)
+    def derivative(self, x: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+        # (|x| <= half_width) / (2 half_width), the mask written as 0/1.
+        y = _work_array(x, out)
+        np.abs(y, out=y)
+        np.less_equal(y, self.half_width, out=y)
+        y /= 2.0 * self.half_width
+        return y
 
     def smooth_step(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)

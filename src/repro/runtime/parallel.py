@@ -92,7 +92,8 @@ def shard_grads(network, loss, inputs: np.ndarray, targets: np.ndarray,
     Returns ``(loss_value, shard_size, weight_grads)``.  This is the unit
     of work a pool worker executes; the serial path calls it in-process so
     both paths share every arithmetic operation.  When ``ws`` is given the
-    recorded traces are recycled into the workspace before returning.
+    recorded membranes and spikes are recycled into the workspace before
+    returning (the record's lazy ``k`` is never read, so never computed).
 
     ``weights`` (optional per-layer overrides) runs the forward **and**
     the backward through substituted weight matrices — the
@@ -110,7 +111,7 @@ def shard_grads(network, loss, inputs: np.ndarray, targets: np.ndarray,
                       need_input_grad=False, weights=weights)
     if ws is not None:
         for layer_record in record.layers:
-            ws.release(layer_record.k, layer_record.v, layer_record.spikes)
+            ws.release(layer_record.v, layer_record.spikes)
     return float(loss_value), int(inputs.shape[0]), result.weight_grads
 
 

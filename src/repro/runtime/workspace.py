@@ -6,9 +6,10 @@ whose shapes repeat identically batch after batch during training.  A
 :class:`Workspace` turns those allocations into arena reuse: buffers are
 checked out by exact ``(shape, dtype)`` key, handed back once the training
 step that used them is finished, and served again on the next batch.  In
-steady state (constant batch shape) the kernels then perform *zero* large
-allocations per step; the only remaining churn is the small foreign arrays
-produced inside BLAS/SciPy calls.
+steady state (constant batch shape) every large buffer of the kernels' own
+comes from the arena; what still allocates per step is foreign to it —
+SciPy's CSR products allocate their results, the CSR conversion its index
+arrays.
 
 Design rules that keep this safe:
 

@@ -24,11 +24,14 @@ from repro.core import (
     exp_scan_reverse,
     resolve_precision,
 )
+from repro.core import engine as engine_module
 from repro.core.calibration import layer_firing_rates
 from repro.core.engine import spike_matmul, spike_outer
 from repro.core.filters import exponential_filter, exponential_filter_adjoint
 from repro.core.optim import make_optimizer
+from repro.core.surrogate import get_surrogate
 from repro.common.rng import RandomState
+from repro.runtime.workspace import Workspace
 
 KINDS = ("adaptive", "hard_reset", "hard_reset_euler")
 
@@ -352,3 +355,116 @@ def test_trainer_config_validation():
         TrainerConfig(gradient_mode="warp").validate()
     with pytest.raises(Exception):
         TrainerConfig(precision="float16").validate()
+
+
+# -- lazy synapse trace and in-place surrogate ------------------------------
+
+def _count_exp_scan(monkeypatch):
+    """Wrap ``engine.exp_scan`` (where every caller looks it up) with a
+    counter; returns the list of scanned input shapes."""
+    calls = []
+    original = engine_module.exp_scan
+
+    def counting(xs, *args, **kwargs):
+        calls.append(np.shape(xs))
+        return original(xs, *args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "exp_scan", counting)
+    return calls
+
+
+def test_training_step_materialises_no_synapse_trace(monkeypatch):
+    """A serial train step scans only each layer's narrow crossbar drive:
+    one exp_scan per adaptive layer, never the ``(batch, T, n_in)`` k."""
+    net = SpikingNetwork((40, 32, 24, 10), rng=0)
+    rng = RandomState(1)
+    x = (rng.random((16, 30, 40)) < 0.1).astype(np.float64)
+    y = np.arange(16) % 10
+    trainer = Trainer(net, CrossEntropyRateLoss(),
+                      TrainerConfig(batch_size=16, learning_rate=1e-3), rng=2)
+    trainer.train_batch(x, y)        # the workspace is warm from here on
+    calls = _count_exp_scan(monkeypatch)
+    trainer.train_batch(x, y)
+    assert calls == [(16, 30, 32), (16, 30, 24), (16, 30, 10)]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("precision", ("float64", "float32"))
+def test_recorded_k_is_scanned_on_first_read(monkeypatch, kind, precision):
+    net, x = make_net_and_input(kind)
+    calls = _count_exp_scan(monkeypatch)
+    _, record = net.run(x, record=True, precision=precision)
+    forward_scans = len(calls)
+    for index, (layer, layer_record) in enumerate(zip(net.layers,
+                                                      record.layers)):
+        if kind != "adaptive":
+            assert layer_record.k is None
+            continue
+        k = layer_record.k
+        assert len(calls) == forward_scans + index + 1
+        assert layer_record.k is k          # computed once, then kept
+        want = exp_scan(record.layer_input(index), layer.alpha)
+        assert k.dtype == want.dtype == resolve_precision(precision)
+        np.testing.assert_array_equal(k.view(np.uint8), want.view(np.uint8))
+    assert len(calls) == forward_scans + (len(net.layers)
+                                          if kind == "adaptive" else 0)
+
+
+@pytest.mark.parametrize("kind", ("adaptive", "hard_reset"))
+@pytest.mark.parametrize("mode", ("exact", "truncated"))
+def test_reading_k_leaves_fused_gradients_bitwise_unchanged(kind, mode):
+    net, x = make_net_and_input(kind)
+    labels = np.arange(x.shape[0]) % net.sizes[-1]
+    loss = CrossEntropyRateLoss()
+    grads = []
+    for read_k in (False, True):
+        out, record = net.run(x, record=True)
+        if read_k:
+            for layer_record in record.layers:
+                _ = layer_record.k
+        _, grad_out = loss.value_and_grad(out, labels)
+        grads.append(backward(net, record, grad_out, mode=mode).weight_grads)
+    for a, b in zip(*grads):
+        np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+def _allocating_eps(layer, v, ws):
+    """The surrogate exactly as the fused backward used to evaluate it:
+    ``derivative(v - v_th)`` through full-size temporaries, then cast."""
+    return np.asarray(layer.surrogate.derivative(v - layer.params.v_th),
+                      dtype=v.dtype)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("surrogate", ("erfc", "sigmoid", "triangle",
+                                       "rectangular"))
+@pytest.mark.parametrize("precision", ("float64", "float32"))
+def test_in_place_surrogate_gradients_are_bitwise_the_allocating_form(
+        monkeypatch, kind, surrogate, precision):
+    """The workspace-computed ``eps`` performs the same elementwise ops in
+    the same order as the allocating form, so every weight gradient is
+    bit-for-bit the same, with and without a workspace."""
+    net = SpikingNetwork((50, 40, 10), rng=0, neuron_kind=kind,
+                         surrogate=get_surrogate(surrogate))
+    for layer in net.layers:
+        layer.weight *= 30.0 if kind == "hard_reset_euler" else 6.0
+    rng = RandomState(1)
+    x = (rng.random((8, 30, 50)) < 0.05).astype(np.float64)
+    grad_out = RandomState(2).normal(0.0, 1.0, (8, 30, 10))
+    out, record = net.run(x, record=True, precision=precision)
+    grad_out = grad_out.astype(out.dtype)
+    for mode in ("exact", "truncated"):
+        results = []
+        for ws in (None, Workspace(), "allocating"):
+            if ws == "allocating":
+                monkeypatch.setattr(engine_module, "_surrogate_eps",
+                                    _allocating_eps)
+                ws = None
+            results.append(backward(net, record, grad_out, mode=mode,
+                                    workspace=ws).weight_grads)
+            monkeypatch.undo()
+        for fast in results[:2]:
+            for a, b in zip(fast, results[2]):
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a.view(np.uint8),
+                                              b.view(np.uint8))

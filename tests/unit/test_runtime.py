@@ -147,7 +147,7 @@ class TestWorkspaceEquivalence:
             np.testing.assert_array_equal(res_ws.input_grad,
                                           res_ref.input_grad)
             for lr in rec_ws.layers:
-                ws.release(lr.k, lr.v, lr.spikes)
+                ws.release(lr.v, lr.spikes)
             ws.release(out_ws)
         assert ws.hits > 0  # the arena actually got reused
 

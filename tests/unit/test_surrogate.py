@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import surrogate as surrogate_module
 from repro.core.surrogate import (
     PAPER_SIGMA,
     ErfcSurrogate,
@@ -111,3 +112,76 @@ class TestRegistry:
             TriangleSurrogate(width=0.0)
         with pytest.raises(ValueError):
             RectangularSurrogate(half_width=-0.5)
+
+
+def _surrogate_classes():
+    """Every concrete surrogate defined in :mod:`repro.core.surrogate`."""
+    return [cls for cls in vars(surrogate_module).values()
+            if isinstance(cls, type) and issubclass(cls, SurrogateGradient)
+            and cls is not SurrogateGradient]
+
+
+def _edge_straddling_inputs(surrogate, dtype):
+    """0, +-1e3, random values and the neighbours of the surrogate's
+    support edge / width parameter on both sides of zero."""
+    (scale,) = vars(surrogate).values()
+    edge = dtype(scale)
+    tiny = dtype(np.finfo(dtype).tiny)
+    values = [0.0, -0.0, 1e3, -1e3, tiny, -tiny]
+    for sign in (1, -1):
+        e = dtype(sign) * edge
+        outward = dtype(sign) * dtype(np.inf)
+        values += [e, np.nextafter(e, dtype(0)), np.nextafter(e, outward),
+                   2 * e, e / 2]
+    rng = np.random.default_rng(0)
+    values += list(rng.normal(0.0, 2.0 * scale, 500))
+    return np.array(values, dtype=dtype).reshape(4, -1)
+
+
+#: Each pseudo-derivative written as one allocating numpy expression — the
+#: arithmetic (ops and their order) the in-place implementations must keep.
+REFERENCE_FORMS = {
+    "erfc": lambda s, x: np.exp(-(x * x) / (2.0 * s.sigma ** 2)) / (
+        np.sqrt(2.0 * np.pi) * s.sigma),
+    "sigmoid": lambda s, x: 1.0 / (1.0 + s.beta * np.abs(x)) ** 2,
+    "triangle": lambda s, x: np.maximum(
+        0.0, 1.0 - np.abs(x) / s.width) / s.width,
+    "rectangular": lambda s, x: (np.abs(x) <= s.half_width) / (
+        2.0 * s.half_width),
+}
+
+
+def test_every_surrogate_class_has_a_reference_form():
+    assert {cls.name for cls in _surrogate_classes()} == set(REFERENCE_FORMS)
+
+
+@pytest.mark.parametrize("cls", _surrogate_classes(), ids=lambda c: c.name)
+@pytest.mark.parametrize("dtype", [np.float64, np.float32],
+                         ids=["float64", "float32"])
+def test_derivative_out_is_bitwise_the_allocating_form(cls, dtype):
+    """``derivative(x)`` and ``derivative(x, out=buf)`` (which fills and
+    returns ``buf``) both hold exactly the bits of the float64 reference
+    expression, for float32 and float64 ``x``."""
+    surrogate = cls()
+    x = _edge_straddling_inputs(surrogate, dtype)
+    want = REFERENCE_FORMS[cls.name](surrogate, x.astype(np.float64))
+    assert want.dtype == np.float64
+    np.testing.assert_array_equal(surrogate.derivative(x).view(np.int64),
+                                  want.view(np.int64))
+    buf = np.full(x.shape, np.nan)
+    got = surrogate.derivative(x, out=buf)
+    assert got is buf
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    if dtype is np.float64:
+        # ``out`` may alias the input, the way the fused backward uses it.
+        alias = x.copy()
+        assert surrogate.derivative(alias, out=alias) is alias
+        np.testing.assert_array_equal(alias.view(np.int64),
+                                      want.view(np.int64))
+    # The input itself is never written through ``out``.
+    np.testing.assert_array_equal(x, _edge_straddling_inputs(surrogate, dtype))
+
+
+def test_derivative_out_must_be_float64():
+    with pytest.raises(TypeError, match="float64"):
+        ErfcSurrogate().derivative(np.zeros(3), out=np.zeros(3, np.float32))
