@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-baseline bench bench-json bench-serving bench-aware bench-table bench-smoke bench-paper perfbench-smoke chaos-smoke obs-smoke fleet-smoke docs quickstart serve-demo
+.PHONY: test lint lint-baseline bench bench-table bench-smoke bench-paper perfbench-smoke chaos-smoke obs-smoke fleet-smoke docs quickstart serve-demo
 
 ## tier-1 verify: the full unit/property/integration suite
 test:
@@ -26,21 +26,9 @@ bench:
 	$(PYTHON) -m pytest benchmarks/bench_throughput.py -q --benchmark-only \
 		--benchmark-min-rounds=15 --benchmark-warmup=on
 
-## machine-readable throughput numbers (serial vs parallel runtime)
-bench-json:
-	$(PYTHON) tools/bench_to_json.py --out BENCH_throughput.json
-
-## open-loop serving benchmark (throughput_rps, p50/p95/p99 latency)
-bench-serving:
-	$(PYTHON) tools/bench_to_json.py --serving --out BENCH_serving.json
-
-## hardware-aware train-step cost (ideal vs quantize vs quantize+noise)
-bench-aware:
-	$(PYTHON) tools/bench_to_json.py --aware --out BENCH_aware.json
-
-## full scenario grid -> run_table.csv + every BENCH_*.json view of it
+## full scenario grid -> run_table.csv, the one measurement record
 bench-table:
-	$(PYTHON) -m repro.experiments harness full --table run_table.csv --bench-json
+	$(PYTHON) -m repro.experiments harness full --table run_table.csv
 
 ## seconds-scale scenario grid (the CI harness-smoke job)
 bench-smoke:

@@ -11,8 +11,8 @@ vectorized engine (the default everywhere, ``repro.core.engine``) and the
 step-wise reference loop it replaced.  The train-step benchmarks cover the
 parallel runtime: the serial fused trainer (with its workspace arenas)
 against the data-parallel worker pool at 2 workers.  Measured ratios are
-recorded in ``docs/performance.md``; ``make bench-json`` distills the same
-quantities into ``BENCH_throughput.json``.
+recorded in ``docs/performance.md``; ``make bench-table`` measures the same
+quantities into ``run_table.csv``.
 """
 
 import numpy as np

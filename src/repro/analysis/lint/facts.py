@@ -76,10 +76,7 @@ DEFAULT_EXTERNAL_PER_PACKAGE = {
 DEFAULT_DETERMINISM_EXEMPT = ("src/repro/common/rng.py",)
 
 #: Files whose run-table column references the schema rule checks.
-DEFAULT_RUNTABLE_FILES = (
-    "src/repro/experiments/harness.py",
-    "src/repro/experiments/benchjson.py",
-)
+DEFAULT_RUNTABLE_FILES = ("src/repro/experiments/harness.py",)
 
 #: Wall-clock reads the determinism rule flags when *called* directly.
 #: ``time.monotonic`` is deliberately absent: timeout plumbing needs a

@@ -345,7 +345,7 @@ RULES = (
          hint="prefer `with lock:` and poll-guarded receive loops",
          check=_check_concurrency),
     Rule(id="runtable-schema", severity="error",
-         summary="column names in harness/benchjson match the fixed "
+         summary="column names in the harness match the fixed "
                  "run-table schema",
          hint="use a column from repro.common.runtable.RUN_TABLE_COLUMNS "
               "or extend the schema there first",

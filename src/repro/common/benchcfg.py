@@ -1,11 +1,11 @@
 """Canonical benchmark shapes — one definition for every throughput bench.
 
-``benchmarks/bench_throughput.py`` (the pytest-benchmark suite) and
-``tools/bench_to_json.py`` (the ``make bench-json`` trajectory writer)
-must measure the *same* workload for their numbers to be comparable with
-each other and with the tables in ``docs/performance.md``.  Both import
-their network/input construction from here instead of duplicating the
-magic constants.
+``benchmarks/bench_throughput.py`` (the pytest-benchmark suite) and the
+scenario harness (``python -m repro.experiments harness``) must measure
+the *same* workload for their numbers to be comparable with each other
+and with the tables in ``docs/performance.md``.  Both import their
+network/input construction from here instead of duplicating the magic
+constants.
 
 The workload is the paper-scale MLP at the repo's standard bench point:
 700-128-128-20 adaptive network, T = 100, ~3 % input spike density,

@@ -3,9 +3,9 @@
 One scenario-harness invocation (:mod:`repro.experiments.harness`)
 appends one row per executed run to a :class:`RunTable` and writes it as
 ``run_table.csv`` — the muBench replication shape: a factor grid,
-repetitions, and *one* table that every downstream artifact
-(``BENCH_throughput.json``, ``BENCH_serving.json``, ``BENCH_aware.json``)
-is regenerated from.  A reviewer diffs the table, not fourteen scripts.
+repetitions, and *one* table: the only record the harness writes, and
+the one the docs quote rows of by ``run_id``.  A change is judged by
+diffing the table, not fourteen scripts.
 
 The column set is fixed (:data:`RUN_TABLE_COLUMNS`) and documented in
 ``docs/experiments.md``.  Identity columns (which grid cell a row is)

@@ -4,9 +4,8 @@ This is the execution layer over :mod:`repro.experiments.scenario`:
 :func:`run_scenarios` expands every scenario deterministically
 (:func:`~repro.experiments.scenario.expand`), executes each grid cell
 with the right runner for its kind, and appends one row per run to a
-single :class:`~repro.common.runtable.RunTable` — the artifact all
-``BENCH_*.json`` files are regenerated from
-(:mod:`repro.experiments.benchjson`).
+single :class:`~repro.common.runtable.RunTable` — the one record every
+measurement lands in (``run_table.csv``).
 
 Cross-cell resources are shared, not rebuilt: networks are cached by
 (sizes, seed) and worker pools by (network, workers) through one
@@ -23,9 +22,11 @@ Determinism contract (what ``tests/unit/test_harness.py`` pins down):
   timer two identical invocations produce byte-identical CSV text.
 
 The canonical grids live here too (:data:`PRESETS`): ``smoke`` (the CI
-seconds-scale grid), ``throughput`` / ``serving`` / ``aware`` (the three
-``BENCH_*.json`` sources), ``chaos`` (serving under seeded fault
-schedules — the availability rows) and ``full`` (their union).
+seconds-scale grid), ``throughput`` (kernel and runtime timings),
+``serving`` (serving capacity and latency), ``aware`` (hardware-aware
+train-step cost), ``chaos`` (serving under seeded fault schedules — the
+availability rows), ``fleet`` (the multi-tenant fleet cell) and
+``full`` (their union).
 """
 
 from __future__ import annotations
@@ -532,9 +533,8 @@ def _render_row(row: dict) -> str:
 
 # -- canonical scenario grids ------------------------------------------------
 
-#: The three offered-load points of the serving benchmark
-#: (``benchmarks/bench_serving.py`` rationale: latency floor, throughput
-#: plateau, backpressure).
+#: The three offered-load points of the serving grid: latency floor,
+#: throughput plateau, backpressure.
 SERVING_LOADS = (
     LoadSpec("light", 300.0, 300),
     LoadSpec("heavy", 4000.0, 800),
@@ -552,7 +552,7 @@ _SWEEP_SEEDS = 4
 
 def throughput_scenarios(rounds: int = 10,
                          worker_counts: tuple = (0, 1, 2, 4)) -> list:
-    """The ``BENCH_throughput.json`` grid as declarative scenarios."""
+    """Forward/backward, train-step, inference and sweep timings."""
     worker_counts = tuple(worker_counts)
     return [
         Scenario(name="forward", kind="forward",
@@ -577,7 +577,7 @@ def throughput_scenarios(rounds: int = 10,
 
 
 def aware_scenarios(rounds: int = 10) -> list:
-    """The ``BENCH_aware.json`` rows: ideal vs fake-quant vs quant+noise."""
+    """Train-step cost: ideal vs fake-quant vs quant+noise, one scenario."""
     return [
         Scenario(name="train-step-aware", kind="train_step",
                  hardware=(None,
@@ -591,7 +591,7 @@ def aware_scenarios(rounds: int = 10) -> list:
 
 
 def serving_scenarios(loads: tuple = SERVING_LOADS) -> list:
-    """The ``BENCH_serving.json`` grid: 4 server configs x 3 loads."""
+    """Serving capacity and latency: 4 server configs x 3 loads."""
     common = dict(kind="serving", workloads=("synthetic",), loads=loads,
                   sessions=32, chunk_steps=10, max_batch=16,
                   max_wait_ms=5.0, queue_limit=128, seed=7)

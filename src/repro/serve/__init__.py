@@ -24,9 +24,8 @@ The pieces, bottom-up:
   :class:`ModelRegistry` of checkpoints *and hardware profiles* the
   server cold-starts from;
 * :mod:`repro.serve.loadgen` — a synthetic open-loop arrival process and
-  latency/throughput accounting (``benchmarks/bench_serving.py`` /
-  ``make bench-serving``), plus the multi-tenant mix
-  (:func:`open_loop_fleet`) that measures a fleet;
+  latency/throughput accounting (the ``serving`` harness preset), plus
+  the multi-tenant mix (:func:`open_loop_fleet`) that measures a fleet;
 * :mod:`repro.serve.fleet` — the :class:`Fleet` front door: N
   ``ModelServer`` replicas, session-sticky least-loaded routing,
   per-tenant token-bucket quotas (:class:`TenantQuota`), and weighted

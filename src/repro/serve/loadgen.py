@@ -16,7 +16,7 @@ sleep time and scheduler jitter from the measurement.
 
 The resulting :class:`ServingReport` carries the acceptance metrics of
 the serving layer: ``throughput_rps`` and p50/p95/p99 latency
-(``make bench-serving`` -> ``BENCH_serving.json``).
+(the ``serving`` harness preset's rows in ``run_table.csv``).
 
 :func:`open_loop_fleet` is the multi-tenant variant: one Poisson
 arrival process whose requests are split across named tenants

@@ -8,15 +8,10 @@ The contracts pinned here (see ``docs/experiments.md``):
   never the grid (run ids, order, factor columns).
 * **Pool reuse** — grid cells that need the same (network, workers) pool
   share one instance through :class:`repro.runtime.pool.PoolCache`.
-* **Round-trip** — ``table -> CSV -> table`` is lossless, and the
-  ``BENCH_*.json`` views regenerated from the re-read table match the
-  in-memory conversion (the ``tools/bench_to_json.py --from-table``
-  contract), with the key structure the docs and CI consume.
+* **Round-trip** — ``table -> CSV -> table`` is lossless, and the rows
+  carry the identity and measurement columns the docs read from
+  ``run_table.csv``.
 """
-
-import importlib.util
-import json
-import pathlib
 
 import numpy as np
 import pytest
@@ -24,7 +19,6 @@ import pytest
 from repro.common.errors import ExperimentError
 from repro.common.runtable import RUN_TABLE_COLUMNS, RunTable
 from repro.core import SpikingNetwork
-from repro.experiments import benchjson
 from repro.experiments.harness import (
     PRESETS,
     modeled_energy_j,
@@ -213,8 +207,8 @@ class TestEnergyModel:
 
 
 class TestBenchJsonRoundTrip:
-    """table -> CSV -> table -> BENCH_*.json matches in-memory conversion
-    and the key structure the docs/CI consume."""
+    """table -> CSV -> table is lossless and every kind's rows carry the
+    columns the docs read from the run table."""
 
     @pytest.fixture(scope="class")
     def table(self):
@@ -258,94 +252,23 @@ class TestBenchJsonRoundTrip:
         back = RunTable.from_csv_text(table.render_csv())
         assert back.rows == table.rows
 
-    def test_throughput_schema(self, table):
-        meta = {"pinned": True}
-        report = benchjson.throughput_report(table, meta=meta)
-        reread = benchjson.throughput_report(
-            RunTable.from_csv_text(table.render_csv()), meta=meta)
-        assert report == reread
-        assert set(report) == {"meta", "forward", "backward", "train_step",
-                               "inference", "variation_sweep",
-                               "train_step_hardware_aware"}
-        assert set(report["forward"]) == {"fused", "fused_float32",
-                                          "step_reference"}
-        assert set(report["backward"]) == {"fused", "reference"}
-        assert "serial" in report["train_step"]
-        assert "serial" in report["inference"]
-        assert "serial" in report["variation_sweep"]
-        aware = report["train_step_hardware_aware"]
-        assert set(aware) == {"ideal", "hardware_aware",
-                              "hardware_aware_noise",
-                              "overhead_hardware_aware",
-                              "overhead_hardware_aware_noise"}
-        for row in (report["forward"]["fused"], aware["ideal"]):
-            assert set(row) == {"min_ms", "mean_ms", "max_ms", "rounds"}
-
     def test_serving_schema(self, table):
-        meta = {"pinned": True}
-        report = benchjson.serving_report(table, meta=meta)
-        reread = benchjson.serving_report(
-            RunTable.from_csv_text(table.render_csv()), meta=meta)
-        assert report == reread
-        assert set(report["serving"]) == {"fused_float64", "fused_float32",
-                                          "hardware_float64",
-                                          "shadow_float64"}
-        row = report["serving"]["fused_float64"]["light"]
-        assert set(row) == {"offered_rps", "duration_s", "submitted",
-                            "completed", "rejected", "ticks",
-                            "throughput_rps", "mean_batch", "steps_per_s",
-                            "latency_ms", "divergence",
-                            "faults_injected", "requests_retried",
-                            "requests_expired", "requests_failed",
-                            "recovery_p99_ms", "availability",
-                            "queue_wait_p95_ms", "tick_compute_p95_ms",
-                            "pool_stats"}
-        assert row["availability"] == 1.0          # a clean serving run
-        assert row["queue_wait_p95_ms"] is not None
-        assert row["tick_compute_p95_ms"] is not None
-        assert set(row["latency_ms"]) == {"p50", "p95", "p99", "mean",
-                                          "max"}
-        assert report["serving"]["shadow_float64"]["light"]["divergence"] \
-            is not None
-
-    def test_aware_schema(self, table):
-        meta = {"pinned": True}
-        report = benchjson.aware_report(table, meta=meta)
-        reread = benchjson.aware_report(
-            RunTable.from_csv_text(table.render_csv()), meta=meta)
-        assert report == reread
-        assert report["meta"]["operating_point"] == {"bits": 4,
-                                                     "variation": 0.1}
-        assert set(report["train_step"]) == {
-            "ideal", "hardware_aware", "hardware_aware_noise",
-            "overhead_hardware_aware", "overhead_hardware_aware_noise"}
-
-    def test_missing_rows_fail_loudly(self):
-        table = RunTable()
-        table.append(run_id="only", kind="forward", engine="fused",
-                     precision="float64", repetition=0, min_ms=1.0,
-                     mean_ms=1.0, max_ms=1.0, rounds=1)
-        with pytest.raises(ExperimentError, match="no row"):
-            benchjson.throughput_report(table, meta={})
-        with pytest.raises(ExperimentError, match="serving"):
-            benchjson.serving_report(table, meta={})
-
-    def test_from_table_cli(self, table, tmp_path, monkeypatch):
-        """``tools/bench_to_json.py --from-table`` regenerates all three
-        JSON artifacts from a table on disk."""
-        table_path = tmp_path / "run_table.csv"
-        table.write_csv(table_path)
-        tools = pathlib.Path(__file__).resolve().parents[2] / "tools"
-        spec = importlib.util.spec_from_file_location(
-            "bench_to_json_under_test", tools / "bench_to_json.py")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        monkeypatch.chdir(tmp_path)
-        assert module.main(["--from-table", str(table_path)]) == 0
-        for name in ("BENCH_throughput.json", "BENCH_serving.json",
-                     "BENCH_aware.json"):
-            report = json.loads((tmp_path / name).read_text())
-            assert "meta" in report
+        rows = table.by_kind("serving")
+        configs = {(row["scenario"], row["precision"], row["hardware"])
+                   for row in rows}
+        assert configs == {("serving", "float64", "ideal"),
+                           ("serving", "float32", "ideal"),
+                           ("serving-hardware", "float64", "hw4b10"),
+                           ("serving-shadow", "float64", "shadow4b10")}
+        assert len(rows) == len(configs)    # one row per config
+        (clean,) = [row for row in rows if row["scenario"] == "serving"
+                    and row["precision"] == "float64"]
+        assert clean["availability"] == 1.0      # a clean serving run
+        assert clean["queue_wait_p95_ms"] is not None
+        assert clean["tick_compute_p95_ms"] is not None
+        (shadow,) = [row for row in rows
+                     if row["scenario"] == "serving-shadow"]
+        assert shadow["divergence"] is not None
 
 
 class TestPresets:
@@ -450,14 +373,12 @@ class TestChaosRuns:
         assert back.rows == table.rows
 
     def test_chaos_section_of_serving_report(self, table):
-        report = benchjson.serving_report(table, meta={"pinned": True})
-        assert report["serving"] == {}     # chaos-only table
-        row = report["chaos"]["t-chaos"]["smoke"]
-        for key in ("availability", "faults_injected", "requests_retried",
-                    "requests_expired", "requests_failed",
-                    "recovery_p99_ms"):
-            assert key in row
-        assert row["submitted"] == 16
+        (row,) = table.by_kind("chaos")
+        for column in ("availability", "faults_injected",
+                       "requests_retried", "requests_expired",
+                       "requests_failed", "recovery_p99_ms"):
+            assert row[column] is not None, column
+        assert row["requests"] == 16
 
     def test_same_seed_reproduces_the_fault_schedule(self, table):
         again = run_scenarios([self.scenario()], timer=FakeTimer())

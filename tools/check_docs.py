@@ -15,6 +15,8 @@ Walks README.md and docs/*.md and fails if
   table must match ``repro.common.faults.KNOWN_SITES`` exactly, and
   the ``docs/experiments.md`` column reference must match the fixed
   run-table schema in both directions.
+* any backticked ``make <target>`` names a target the Makefile does
+  not define — a retired target otherwise lingers in the prose.
 
 This is the `make docs` target and runs in CI — it keeps the README's
 promise that every paper artifact is reachable from it, and that every
@@ -32,6 +34,8 @@ LINK = re.compile(r"\[[^\]]*\]\(([^)#\s]+)(?:#[^)]*)?\)")
 MODULE = re.compile(r"\brepro(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
 BACKTICK = re.compile(r"`([^`]+)`")
 COLUMN_TOKEN = re.compile(r"^[a-z][a-z0-9_]*$")
+MAKE_REF = re.compile(r"`make ([A-Za-z0-9_.-]+)[^`]*`")
+MAKE_RULE = re.compile(r"^([A-Za-z0-9_-][A-Za-z0-9_.-]*):", re.MULTILINE)
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -51,6 +55,15 @@ def check_links(markdown: Path) -> list[str]:
         if not resolved.exists():
             errors.append(f"{markdown.relative_to(REPO)}: broken link {target}")
     return errors
+
+
+def check_make_targets(markdown: Path, targets: set[str]) -> list[str]:
+    text = markdown.read_text(encoding="utf-8")
+    return [
+        f"{markdown.relative_to(REPO)}: `make {target}` is not a "
+        f"Makefile target"
+        for target in sorted(set(MAKE_REF.findall(text)) - targets)
+    ]
 
 
 def _reference_resolves(ref: str, cache: dict[str, bool]) -> bool:
@@ -180,11 +193,14 @@ def main() -> int:
         print("missing documentation files:", ", ".join(missing))
         return 1
     cache: dict[str, bool] = {}
+    targets = set(MAKE_RULE.findall(
+        (REPO / "Makefile").read_text(encoding="utf-8")))
     errors = [
         error
         for source in sources
         for error in (*check_links(source),
-                      *check_module_refs(source, cache))
+                      *check_module_refs(source, cache),
+                      *check_make_targets(source, targets))
     ]
     errors.extend(check_catalogs())
     for error in errors:
@@ -195,8 +211,8 @@ def main() -> int:
         print(f"FAIL: {len(errors)} problem(s) across {checked} files")
         return 1
     print(f"OK: all local links resolve, all {refs} repro.* references "
-          f"import, and all catalog tables match the code across "
-          f"{checked} documentation files")
+          f"import, every `make` target exists, and all catalog tables "
+          f"match the code across {checked} documentation files")
     return 0
 
 

@@ -18,14 +18,13 @@ plane (:mod:`repro.obs`, docs/observability.md) holds its contract:
    with the pool's registry counting the dispatch and the respawn.
 4. **Overhead gate** — telemetry-on wall time over the smoke preset
    must stay within ``OVERHEAD_BUDGET`` of telemetry-off (interleaved
-   best-of-``--repeats`` each); ``--bench-json`` pins the measured
-   ratio into ``BENCH_serving.json``'s ``observability`` section.
+   best-of-``--repeats`` each); the measured ratio is printed to the
+   log.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import tempfile
@@ -204,7 +203,7 @@ def _measure_overhead(repeats: int) -> tuple[float, float]:
     return min(off_s), min(on_s)
 
 
-def overhead_gate(repeats: int, bench_json: str | None) -> list[str]:
+def overhead_gate(repeats: int) -> list[str]:
     """Telemetry-on / telemetry-off wall-time ratio on the smoke preset."""
     # Noise only ever inflates a wall-time sample, so the global
     # per-mode minimum converges to the true run time from above —
@@ -229,20 +228,6 @@ def overhead_gate(repeats: int, bench_json: str | None) -> list[str]:
     if ratio > OVERHEAD_BUDGET:
         errors.append(f"telemetry overhead ratio {ratio:.4f} exceeds "
                       f"{OVERHEAD_BUDGET}")
-    if bench_json:
-        path = Path(bench_json)
-        report = json.loads(path.read_text(encoding="utf-8")) \
-            if path.exists() else {}
-        report["observability"] = {
-            "overhead_ratio": round(ratio, 4),
-            "budget": OVERHEAD_BUDGET,
-            "telemetry_off_s": round(off, 3),
-            "telemetry_on_s": round(on, 3),
-            "repeats": total,
-        }
-        path.write_text(json.dumps(report, indent=2, sort_keys=False)
-                        + "\n", encoding="utf-8")
-        print(f"pinned observability section into {bench_json}")
     return errors
 
 
@@ -253,16 +238,13 @@ def main(argv=None) -> int:
                              "telemetry artifacts (CI uploads it)")
     parser.add_argument("--repeats", type=int, default=11,
                         help="overhead measurement repetitions per mode")
-    parser.add_argument("--bench-json", default=None,
-                        help="BENCH_serving.json path to pin the measured "
-                             "overhead into (omit to skip)")
     args = parser.parse_args(argv)
     smoke_dir = os.path.join(args.trace_dir, "smoke")
     chaos_dir = os.path.join(args.trace_dir, "chaos")
     errors = artifact_gate(smoke_dir)
     errors += chaos_trace_gate(chaos_dir)
     errors += pool_trace_gate()
-    errors += overhead_gate(args.repeats, args.bench_json)
+    errors += overhead_gate(args.repeats)
     if errors:
         print(f"\nobs-smoke: {len(errors)} gate failure(s)")
         for error in errors:
