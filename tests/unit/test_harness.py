@@ -1,4 +1,4 @@
-"""Scenario-harness guarantees: determinism, pool reuse, JSON round-trip.
+"""Scenario-harness guarantees: determinism, pool reuse, table round-trip.
 
 The contracts pinned here (see ``docs/experiments.md``):
 
@@ -13,6 +13,8 @@ The contracts pinned here (see ``docs/experiments.md``):
   ``run_table.csv``.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from repro.common.runtable import RUN_TABLE_COLUMNS, RunTable
 from repro.core import SpikingNetwork
 from repro.experiments.harness import (
     PRESETS,
+    aware_scenarios,
     modeled_energy_j,
     run_scenario,
     run_scenarios,
@@ -269,6 +272,81 @@ class TestBenchJsonRoundTrip:
         (shadow,) = [row for row in rows
                      if row["scenario"] == "serving-shadow"]
         assert shadow["divergence"] is not None
+
+    def test_throughput_schema(self, table):
+        def cells(kind, scenario):
+            return {(row["engine"], row["precision"], row["workers"])
+                    for row in table.by_kind(kind)
+                    if row["scenario"] == scenario}
+
+        assert cells("forward", "forward") == {("fused", "float64", 0),
+                                               ("fused", "float32", 0)}
+        assert cells("forward", "forward-step") == {("step", "float64", 0)}
+        assert cells("backward", "backward") == {("fused", "float64", 0),
+                                                 ("step", "float64", 0)}
+        assert cells("train_step", "train-step") == {("fused", "float64", 0)}
+        assert cells("inference", "inference") == {("fused", "float64", 0)}
+        for kind in ("forward", "backward", "train_step", "inference",
+                     "variation"):
+            for row in table.by_kind(kind):
+                assert row["min_ms"] <= row["mean_ms"] <= row["max_ms"], \
+                    row["run_id"]
+                assert row["rounds"] >= 1, row["run_id"]
+        (sweep,) = table.by_kind("variation")
+        assert sweep["hardware"] == "hw4b20"
+        assert 0.0 <= sweep["accuracy"] <= 1.0
+        assert sweep["accuracy_std"] is not None
+
+    def test_aware_schema(self):
+        """The ``aware`` preset times ideal, quantize and quantize+noise
+        in one scenario, so its overhead is a ratio of rows of that one
+        scenario."""
+        scenarios = [dataclasses.replace(scenario, sizes=(32, 16, 8),
+                                         rounds=2, warmup=0)
+                     for scenario in aware_scenarios()]
+        table = run_scenarios(scenarios, timer=FakeTimer())
+        rows = table.by_kind("train_step")
+        assert len(rows) == len(table) == 3
+        assert {row["scenario"] for row in rows} == {"train-step-aware"}
+        by_hardware = {row["hardware"]: row for row in rows}
+        assert set(by_hardware) == {"ideal", "hw4b0", "hw4b10"}
+        assert by_hardware["ideal"]["hw_bits"] is None
+        assert by_hardware["hw4b0"]["hw_bits"] == 4
+        assert by_hardware["hw4b0"]["hw_variation"] == 0.0
+        assert by_hardware["hw4b10"]["hw_variation"] == 0.1
+        for row in rows:
+            assert row["min_ms"] > 0 and row["rounds"] == 2
+
+    def test_missing_rows_fail_loudly(self, table):
+        text = table.render_csv()
+        header, first, *_ = text.splitlines()
+        with pytest.raises(ExperimentError, match="empty run table"):
+            RunTable.from_csv_text("")
+        truncated = first.rsplit(",", 1)[0]
+        with pytest.raises(ExperimentError, match="cells, expected"):
+            RunTable.from_csv_text(f"{header}\n{truncated}\n")
+        unnamed = "," + first.split(",", 1)[1]
+        with pytest.raises(ExperimentError, match="needs a run_id"):
+            RunTable.from_csv_text(f"{header}\n{unnamed}\n")
+
+    def test_from_table_cli(self, tmp_path, monkeypatch, capsys):
+        """``python -m repro.experiments harness <preset> --table PATH``
+        writes the run table that :meth:`RunTable.read_csv` reads back,
+        one row per expanded grid cell."""
+        from repro.experiments import harness
+        from repro.experiments.cli import main
+
+        scenarios = tiny_scenarios(seed=1)
+        monkeypatch.setattr(harness, "preset_scenarios",
+                            lambda name: scenarios)
+        table_path = tmp_path / "run_table.csv"
+        assert main(["harness", "smoke", "--table", str(table_path)]) == 0
+        back = RunTable.read_csv(table_path)
+        expected = [spec.run_id for scenario in scenarios
+                    for spec in expand(scenario)]
+        assert [row["run_id"] for row in back.rows] == expected
+        assert f"wrote {table_path} ({len(expected)} rows" \
+            in capsys.readouterr().out
 
 
 class TestPresets:
