@@ -5,7 +5,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test lint lint-baseline bench bench-table bench-smoke bench-paper perfbench-smoke chaos-smoke obs-smoke fleet-smoke docs quickstart serve-demo
+.PHONY: test lint lint-baseline bench bench-table bench-smoke bench-paper bench-pairs perfbench-smoke chaos-smoke obs-smoke fleet-smoke docs quickstart serve-demo
 
 ## tier-1 verify: the full unit/property/integration suite
 test:
@@ -37,6 +37,16 @@ bench-smoke:
 ## regenerate every paper table/figure (REPRO_PROFILE=full for paper scale)
 bench-paper:
 	$(PYTHON) -m pytest benchmarks -q
+
+## alternating base/change pairs of the BENCHMARK.json benchmark: medians,
+## change/base ratios, metrics past their bound (BASE is a git ref)
+BASE ?= HEAD~1
+PAIRS ?= 5
+BENCH_SECONDS ?= 30
+WORKLOAD ?= stream-saturate
+bench-pairs:
+	$(PYTHON) tools/bench_pairs.py --base $(BASE) --pairs $(PAIRS) \
+		--seconds $(BENCH_SECONDS) --workload $(WORKLOAD)
 
 ## benchmark self-test (perfbench/, BENCHMARK.json): result schema, the
 ## bitwise-serving and gradient checks catch planted corruptions

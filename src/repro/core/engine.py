@@ -13,20 +13,27 @@ network is feedforward and layer ``l`` at step ``t`` depends only on layer
 ``l-1`` at steps ``<= t`` (eq. 9 couples same-step outputs, never future
 ones), so the time-major loop can be legally reordered layer-major: run
 layer 0 over the entire sequence, then layer 1, and so on.  Per layer the
-work then splits into
+work then splits in two:
 
-* **linear scans** — the synapse filter ``k[t] = alpha k[t-1] + x[t]``
-  (eq. 9) and its adjoint are first-order recurrences evaluated in place
-  over a preallocated ``(batch, T, n)`` buffer (:func:`exp_scan`,
-  :func:`exp_scan_reverse`); each step is a fused elementwise update on a
-  buffer slice, with no per-step allocation;
-* **one batched matmul** — the crossbar product ``g = k W^T`` (eq. 7) for
-  *all* time steps at once: ``(batch*T, n_in) @ (n_in, n_out)``, which is
-  where BLAS actually wins;
-* **a thin nonlinear scan** — the spike/threshold recurrence (eqs. 6, 8,
-  10) is inherently sequential (the spike at ``t`` feeds the reset filter
-  at ``t+1``) but involves only elementwise work on ``(batch, n_out)``
-  slices, again over preallocated buffers.
+* **one sparse product** — the crossbar drive ``W x[t]`` (eq. 7) of the
+  raw input spikes for *all* time steps at once:
+  ``(batch*T, n_in) @ (n_in, n_out)``.  Spikes are a few percent dense,
+  so the product runs over the nonzeros only: one compiled
+  ``scipy.sparse`` CSR call on an index structure built straight from a
+  ``flatnonzero`` scan (:class:`SpikeCSR`), with no sparse-matrix object
+  and no format checks;
+* **one fused pass over time** — the synapse filter (eq. 9, moved after
+  the product because both are linear) and the spike/threshold
+  recurrence (eqs. 6, 8, 10) advance together, one elementwise update of
+  ``(batch, n_out)`` slices per step.  The recurrence is inherently
+  sequential (the spike at ``t`` feeds the reset filter at ``t+1``), but
+  every slice lives in a preallocated buffer: nothing allocates per step.
+
+The kernels index a *time-axis view* ``(T, batch, n)`` of their buffers.
+A stream (:func:`run_streaming`) keeps its working buffers time-major, so
+every per-step slice is one contiguous block; a batch run
+(:func:`fused_run`) passes the transposed view of its batch-major record
+buffers, which the backward pass reads.
 
 There is one forward kernel per neuron kind (:func:`_adaptive_forward`,
 :func:`_hard_reset_forward`).  Each advances a carried per-layer state —
@@ -38,9 +45,10 @@ test oracles, reachable through ``SpikingNetwork.run(engine="step")`` and
 
 The backward pass (:func:`fused_backward`) applies the same split to the
 BPTT adjoints of :mod:`repro.core.backprop`: the sequential part is the
-elementwise ``delta_v`` recurrence; the weight gradient collapses to a
-single ``tensordot`` over ``(batch, T)`` and the input gradient to one
-batched matmul followed by a reverse scan.
+elementwise ``delta_v`` recurrence; the weight gradient collapses to one
+contraction over ``(batch, T)`` (over the spike nonzeros, reusing the
+forward's :class:`SpikeCSR`) and the input gradient to one batched matmul
+followed by a reverse scan.
 
 Precision: every entry point accepts ``precision="float32"|"float64"``
 (:func:`resolve_precision`); float32 halves memory traffic and is
@@ -56,7 +64,8 @@ Trainer`, or a pool worker) recycles the recorded tensors once the step is
 done, so steady-state training reallocates nothing.  ``ws=None`` (the
 default) keeps the original allocate-per-call behavior.
 
-Sparse products use :mod:`scipy.sparse` (a required dependency).
+Sparse products call the compiled kernels of :mod:`scipy.sparse` (a
+required dependency) directly.
 
 Equivalence with the step-wise reference (same spikes, membrane traces and
 gradients to tolerance) is tested in ``tests/unit/test_engine.py``; cost is
@@ -65,11 +74,12 @@ measured per phase by ``perfbench/`` (workloads in ``BENCHMARK.json``).
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
+from scipy.sparse import _sparsetools
 
 from ..common.errors import ShapeError
-
-from scipy import sparse as _sparse
 
 __all__ = [
     "PRECISIONS",
@@ -111,20 +121,16 @@ def resolve_precision(precision) -> np.dtype | None:
 
 # -- scan kernels -----------------------------------------------------------
 
-def exp_scan(xs: np.ndarray, decay: float, out: np.ndarray | None = None,
-             carry: np.ndarray | None = None) -> np.ndarray:
+def exp_scan(xs: np.ndarray, decay: float,
+             out: np.ndarray | None = None) -> np.ndarray:
     """Causal first-order scan ``y[t] = decay*y[t-1] + x[t]`` along axis 1.
 
     ``xs`` has shape ``(batch, T, n)``.  The scan is evaluated in place
     over ``out`` (allocated once when omitted); each step is two fused
     elementwise ops on a ``(batch, n)`` slice.  ``out`` may alias ``xs``.
-
-    ``carry`` is the scan value *preceding* ``xs[:, 0]`` — the final
-    scanned value of the previous chunk of a split sequence.  With it the
-    first step performs exactly the same two ops as every interior step
-    (``y[0] = decay*carry + x[0]``), so scanning a sequence in chunks and
-    threading the carry is bitwise-equal to one continuous scan.  ``None``
-    (the default) keeps the original behavior ``y[0] = x[0]``.
+    The forward kernels fold this scan into their pass over time; it
+    serves the lazily computed synapse trace of a recorded run
+    (:class:`~repro.core.layers.LayerStepRecord`).
     """
     xs = np.asarray(xs)
     if out is None:
@@ -134,18 +140,11 @@ def exp_scan(xs: np.ndarray, decay: float, out: np.ndarray | None = None,
         return out
     if out is xs:
         scratch = np.empty(xs.shape[::2], dtype=xs.dtype)  # (batch, n)
-        if carry is not None:
-            np.multiply(carry, decay, out=scratch)
-            out[:, 0] += scratch
         for t in range(1, steps):
             np.multiply(out[:, t - 1], decay, out=scratch)
             out[:, t] += scratch
     else:
         out[:, 0] = xs[:, 0]
-        if carry is not None:
-            scratch = np.empty(xs.shape[::2], dtype=xs.dtype)
-            np.multiply(carry, decay, out=scratch)
-            out[:, 0] += scratch
         for t in range(1, steps):
             cur = out[:, t]
             np.multiply(out[:, t - 1], decay, out=cur)
@@ -165,54 +164,106 @@ def _ws_release(ws, *arrays) -> None:
         ws.release(*arrays)
 
 
-def _as_csr(flat: np.ndarray, ws=None):
-    """Cheap CSR view of a sparse ``(m, n)`` spike matrix, or ``None``.
+# -- sparse spike products --------------------------------------------------
 
-    ``scipy.sparse.csr_matrix(dense)`` costs as much as the GEMM it is
-    meant to replace, so the index structure is built directly: one
-    ``flatnonzero`` scan (indices come out sorted, i.e. canonical CSR
-    order) plus a ``searchsorted`` for the row pointers.  Returns ``None``
-    when the matrix is small or the density is too high for the sparse
-    product to win.  ``ws`` serves the constant
-    row-boundary scratch from its cache.
+class SpikeCSR(NamedTuple):
+    """Canonical CSR structure of an ``(m, n)`` spike matrix.
+
+    Built straight from one ``flatnonzero`` scan (:func:`_spike_csr`):
+    the nonzero indices come out sorted, so the arrays are canonical CSR
+    by construction and go to scipy's compiled kernels as they are — no
+    ``scipy.sparse`` matrix is constructed and no format check runs.
+    ``nnz``/``shape``/``dtype`` mirror the scipy attributes of the same
+    names.
     """
-    if flat.size < _SPARSE_MIN_SIZE:
-        return None
-    # Explicit bool compare first: flatnonzero on a float array pays an
-    # extra full-size temporary and runs ~3x slower.
-    raveled = np.ascontiguousarray(flat).reshape(-1)
-    idx = np.flatnonzero(raveled != 0)
-    if idx.size > SPARSE_DENSITY_THRESHOLD * flat.size:
-        return None
-    return _build_csr(flat, raveled, idx, ws)
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indices.size)
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.data.dtype
 
 
-def _build_csr(flat: np.ndarray, raveled: np.ndarray, idx: np.ndarray, ws):
-    """Assemble the canonical CSR from a precomputed nonzero index scan."""
-    m, n = flat.shape
-    bounds = (ws.row_bounds(m, n) if ws is not None
-              else np.arange(0, (m + 1) * n, n))
-    indptr = np.searchsorted(idx, bounds)
-    return _sparse.csr_matrix(
-        (raveled[idx], idx % n, indptr), shape=(m, n)
-    )
+def _csr_from_nonzeros(raveled: np.ndarray, idx: np.ndarray, m: int,
+                       n: int) -> SpikeCSR:
+    """Assemble the CSR of a raveled ``(m, n)`` matrix from its sorted
+    nonzero positions ``idx``."""
+    indptr = np.searchsorted(idx, np.arange(0, (m + 1) * n, n))
+    return SpikeCSR(indptr, idx % n, raveled[idx], (m, n))
 
 
-def _as_csr_always(flat: np.ndarray, ws=None):
-    """CSR of a spike matrix regardless of size or density.
+def _spike_csr(flat: np.ndarray) -> SpikeCSR:
+    """CSR of an ``(m, n)`` spike matrix regardless of size or density.
 
     The streaming path (:func:`run_streaming`) uses this instead of the
     :func:`_as_csr` probe: the CSR product computes every output row as an
     independent sum over that row's nonzeros in index order, so the result
     for one sample/step is bitwise-independent of which other rows share
-    the matrix — the property that makes arbitrary chunking and the
-    serving micro-batcher's session gathering exact.  The dense GEMM has
-    no such guarantee (BLAS picks different kernels for different row
-    counts), which is why the probe's economics do not apply here.
+    the matrix, and of their order — the property that makes arbitrary
+    chunking, the serving micro-batcher's session gathering and the
+    stream's time-major rows exact.  The dense GEMM has no such guarantee
+    (BLAS picks different kernels for different row counts), which is why
+    the probe's economics do not apply here.
     """
+    # Explicit bool compare first: flatnonzero on a float array pays an
+    # extra full-size temporary and runs ~3x slower.
+    raveled = np.ascontiguousarray(flat).reshape(-1)
+    return _csr_from_nonzeros(raveled, np.flatnonzero(raveled != 0),
+                              *flat.shape)
+
+
+def _as_csr(flat: np.ndarray) -> SpikeCSR | None:
+    """:func:`_spike_csr` of a sparse ``(m, n)`` matrix, or ``None``.
+
+    Returns ``None`` when the matrix is small or the density is too high
+    for the sparse product to win over the dense GEMM.
+    """
+    if flat.size < _SPARSE_MIN_SIZE:
+        return None
     raveled = np.ascontiguousarray(flat).reshape(-1)
     idx = np.flatnonzero(raveled != 0)
-    return _build_csr(flat, raveled, idx, ws)
+    if idx.size > SPARSE_DENSITY_THRESHOLD * flat.size:
+        return None
+    return _csr_from_nonzeros(raveled, idx, *flat.shape)
+
+
+def _matvecs(kernel, rows: int, cols: int, csr: SpikeCSR,
+             dense: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """``out = A @ dense`` for the sparse ``A`` stored in ``csr``'s arrays,
+    through scipy's compiled ``csr_matvecs``/``csc_matvecs``.
+
+    This is the call ``scipy.sparse``'s ``@`` makes after its checks —
+    accumulation into a zeroed ``(rows, n_vecs)`` result, each output row
+    summed over its nonzeros in index order — so the result is bitwise
+    that of the public product.  ``out`` must be C-contiguous (it is
+    written through a flat view); ``None`` allocates it.  The compiled
+    kernel trusts every size it is given, so the shapes are checked here.
+    """
+    if dense.ndim != 2 or dense.shape[0] != cols:
+        raise ShapeError(f"sparse ({rows}, {cols}) operand cannot multiply "
+                         f"a dense {dense.shape} operand")
+    dtype = np.result_type(csr.dtype, dense.dtype)
+    n_vecs = dense.shape[1]
+    if out is None:
+        out = np.zeros((rows, n_vecs), dtype=dtype)
+    else:
+        if (out.shape != (rows, n_vecs) or out.dtype != dtype
+                or not out.flags.c_contiguous):
+            raise ShapeError(f"out must be a C-contiguous ({rows}, "
+                             f"{n_vecs}) {dtype} array, got {out.shape} "
+                             f"{out.dtype}")
+        out.fill(0)
+    kernel(rows, cols, n_vecs, csr.indptr, csr.indices,
+           csr.data.astype(dtype, copy=False),
+           np.ravel(dense).astype(dtype, copy=False), out.reshape(-1))
+    return out
 
 
 #: Default for ``spike_matmul``'s ``csr``: "not computed yet, decide here".
@@ -226,11 +277,10 @@ def spike_matmul(flat_x: np.ndarray, w_t: np.ndarray, csr=_AUTO_CSR,
     ``flat_x`` is a ``(batch*T, n_in)`` spike matrix (typically a few
     percent nonzero), ``w_t`` a dense ``(n_in, n_out)`` weight transpose.
     Falls back to the dense BLAS product when the input is dense or small.
-    ``csr`` short-circuits the conversion: pass a CSR the caller already
-    holds for ``flat_x``, or ``None`` to assert the input is known dense
-    (skipping the conversion probe entirely).  ``out`` receives the dense
-    product in place (the sparse product allocates its own result and
-    ignores ``out``).
+    ``csr`` short-circuits the conversion: pass the :class:`SpikeCSR` the
+    caller already holds for ``flat_x``, or ``None`` to assert the input
+    is known dense (skipping the conversion probe entirely).  ``out``
+    (C-contiguous) receives the product in place.
     """
     if csr is _AUTO_CSR:
         csr = _as_csr(flat_x)
@@ -238,7 +288,8 @@ def spike_matmul(flat_x: np.ndarray, w_t: np.ndarray, csr=_AUTO_CSR,
         if out is not None:
             return np.matmul(flat_x, w_t, out=out)
         return flat_x @ w_t
-    return csr @ w_t
+    rows, cols = csr.shape
+    return _matvecs(_sparsetools.csr_matvecs, rows, cols, csr, w_t, out)
 
 
 def spike_outer(flat_dv: np.ndarray, flat_x: np.ndarray,
@@ -247,16 +298,20 @@ def spike_outer(flat_dv: np.ndarray, flat_x: np.ndarray,
 
     ``flat_dv`` is the dense ``(batch*T, n_out)`` membrane adjoint and
     ``flat_x`` the ``(batch*T, n_in)`` presynaptic spikes; when the spikes
-    are sparse the contraction runs as a CSC-dense product over the
-    nonzeros only.  ``csr`` follows the :func:`spike_matmul` convention:
-    a conversion the forward pass already paid for, ``None`` for "probed
-    and dense" (no re-probe), or the default to probe here.
+    are sparse the contraction runs as ``csr.T @ flat_dv`` over the
+    nonzeros only (the CSR arrays read as the CSC of the transpose).
+    ``csr`` follows the :func:`spike_matmul` convention: the structure the
+    forward pass already built, ``None`` for "probed and dense" (no
+    re-probe), or the default to probe here.
     """
     if csr is _AUTO_CSR:
         csr = _as_csr(flat_x)
     if csr is None:
         return flat_dv.T @ flat_x
-    return np.ascontiguousarray((csr.T @ flat_dv).T)
+    rows, cols = csr.shape
+    grad_t = _matvecs(_sparsetools.csc_matvecs, cols, rows, csr,
+                      flat_dv, None)
+    return np.ascontiguousarray(grad_t.T)
 
 
 def exp_scan_reverse(xs: np.ndarray, decay: float,
@@ -359,9 +414,15 @@ def fused_layer_forward(layer, xs: np.ndarray, _csr=_AUTO_CSR, ws=None,
         empty = np.zeros((batch, 0, layer.n_out), dtype=dtype)
         return empty, empty.copy()
 
+    flat_x = xs.reshape(batch * steps, n_in)
+    v = _ws_empty(ws, (batch, steps, layer.n_out), dtype)
+    _crossbar(layer, weight, flat_x, _csr, v.reshape(batch * steps, -1), ws)
+    spikes = _ws_empty(ws, v.shape, dtype)
     carry = _zero_carry(layer, batch, dtype)
     kernel = _adaptive_forward if adaptive else _hard_reset_forward
-    spikes, v = kernel(layer, xs, carry, _csr, ws, weight)
+    # The record buffers stay batch-major (the backward reads them so);
+    # the kernel walks their time-axis views.
+    kernel(layer, v.transpose(1, 0, 2), spikes.transpose(1, 0, 2), carry, ws)
 
     # Leave incremental state at the final step, like the step-wise path.
     neuron = layer.neuron
@@ -391,139 +452,103 @@ def _zero_carry(layer, batch: int, dtype, zeros=np.zeros
     return {"v": zeros(shape, dtype=dtype)}
 
 
-def _layer_gv(layer_weight, xs, dtype, csr, ws, gain: float = 1.0):
-    """The crossbar product for every step at once: ``(batch, T, n_out)``.
+def _crossbar(layer, weight, flat_x, csr, out, ws) -> None:
+    """The crossbar product of every row at once: ``out = flat_x @ W^T``.
 
-    Dense inputs multiply straight into a workspace buffer; sparse inputs
-    go through the CSR product (which allocates its own result — foreign
-    to the workspace, which release() tolerates).  ``csr`` follows the
-    :func:`spike_matmul` convention: a ready conversion, ``None`` for
-    "probed and dense" (no re-probe), or ``_AUTO_CSR`` to probe here.
+    ``flat_x`` holds one input row per (sample, step), in any order;
+    ``out`` (C-contiguous ``(rows, n_out)``) receives the matching rows.
+    ``csr`` follows the :func:`spike_matmul` convention.  Hard-reset
+    layers fold their discretisation gain into the weight, so the pass
+    over time is pure elementwise work.
     """
-    batch, steps, n_in = xs.shape
-    n_out = layer_weight.shape[0]
-    w_t = _ws_empty(ws, (n_in, n_out), dtype)
-    np.copyto(w_t, layer_weight.T)
+    dtype = out.dtype
+    w_t = _ws_empty(ws, (layer.n_in, layer.n_out), dtype)
+    np.copyto(w_t, (layer.weight if weight is None else weight).T)
+    gain = float(getattr(layer.neuron, "input_gain", 1.0))
     if gain != 1.0:
         w_t *= dtype.type(gain)
-    flat_x = xs.reshape(batch * steps, n_in)
-    if csr is _AUTO_CSR:
-        csr = _as_csr(flat_x, ws)
-    if csr is None:
-        gv = _ws_empty(ws, (batch, steps, n_out), dtype)
-        spike_matmul(flat_x, w_t, csr=None,
-                     out=gv.reshape(batch * steps, n_out))
-    else:
-        gv = np.ascontiguousarray(
-            spike_matmul(flat_x, w_t, csr=csr)
-        ).reshape(batch, steps, n_out)
+    spike_matmul(flat_x, w_t, csr=csr, out=out)
     _ws_release(ws, w_t)
-    return gv
 
 
-def _adaptive_forward(layer, xs, st, csr, ws, weight,
-                      lengths=None, ends=None):
-    """Adaptive-threshold layer: sparse matmul -> scan -> threshold scan.
+def _adaptive_forward(layer, drive, spikes, st, ws, ends=None) -> None:
+    """Adaptive-threshold layer: one fused pass over time.
 
-    Advances the carry ``st = {g, h, o}`` — the scanned crossbar drive
-    ``g[t]``, the reset filter ``h[t]`` (eq. 8) and the last output
-    spikes ``O[t]`` — in place over one ``(batch, T, n_in)`` input and
-    returns ``(spikes, v)``, both ``(batch, T, n_out)``.
+    ``drive`` and ``spikes`` are time-axis views ``(T, batch, n_out)``.
+    ``drive`` holds the crossbar product ``(W x)[t]`` of the raw input
+    spikes and is rewritten in place into the membrane ``v[t]``;
+    ``spikes`` receives ``O[t]``.  The carry ``st = {g, h, o}`` — the
+    filtered drive ``g[t]``, the reset filter ``h[t]`` (eq. 8) and the
+    last output spikes ``O[t]`` — advances in place.
 
     The synapse filter (eq. 9) and the crossbar product (eq. 7) are both
-    linear, so ``filter(x) @ W^T == filter(x @ W^T)``.  Evaluating the
-    matmul first keeps its input the *raw spikes* — a few-percent-dense
-    0/1 matrix that :func:`spike_matmul` contracts over nonzeros only —
-    and moves the scan from the wide ``n_in`` axis to the narrow ``n_out``
-    axis.  ``lengths``/``ends`` (see :func:`run_streaming`) capture each
-    row's carry at its own final valid step.
+    linear, so ``filter(x) @ W^T == filter(x @ W^T)``: the product's input
+    stays the raw spikes (a few-percent-dense 0/1 matrix the sparse
+    product contracts over nonzeros only), and the filter runs on the
+    narrow ``n_out`` axis, in the same pass as the threshold recurrence.
+    ``ends`` (see :func:`run_streaming`) captures each row's carry at its
+    own final valid step.
     """
-    dtype = xs.dtype
-    batch, steps, _ = xs.shape
-    n_out = layer.n_out
     neuron = layer.neuron
     theta = neuron.params.theta
     v_th = neuron.params.v_th
     beta = neuron.beta_r
-
-    # Crossbar product of the raw spikes for every step at once, then the
-    # synapse filter as an in-place scan seeded with the carried drive.
-    # ``gv`` starts life as g[t] and is rewritten to v[t] = g[t] - theta*h[t].
-    gv = _layer_gv(layer.weight if weight is None else weight,
-                   xs, dtype, csr, ws)
-    exp_scan(gv, layer.alpha, out=gv, carry=st["g"])
-    # The carry for the next chunk is the *scanned drive* at each row's
-    # final valid step — captured before the threshold loop rewrites
-    # ``gv`` into membrane values in place.
-    if lengths is None:
-        np.copyto(st["g"], gv[:, -1])
-    else:
-        np.copyto(st["g"], gv[np.arange(batch), lengths - 1])
-
-    spikes = _ws_empty(ws, (batch, steps, n_out), dtype)
-    h = st["h"]
-    scratch = _ws_empty(ws, (batch, n_out), dtype)
-    h_final = o_final = None
+    alpha = layer.alpha
+    g, h = st["g"], st["h"]
+    scratch = _ws_empty(ws, g.shape, g.dtype)
+    final = None
     if ends is not None:
-        h_final = _ws_empty(ws, (batch, n_out), dtype)
-        o_final = _ws_empty(ws, (batch, n_out), dtype)
+        final = {key: _ws_empty(ws, g.shape, g.dtype) for key in st}
     o_prev = st["o"]
-    for t in range(steps):
+    for t in range(len(drive)):
+        v_t = drive[t]
+        g *= alpha
+        g += v_t                          # g[t] = alpha*g[t-1] + (W x)[t] (eq. 9)
         h *= beta
         h += o_prev                       # h[t] = beta*h[t-1] + O[t-1] (eq. 8)
-        v_t = gv[:, t]
         np.multiply(h, theta, out=scratch)
-        v_t -= scratch                    # v[t] = g[t] - theta*h[t] (eq. 6)
-        o_t = spikes[:, t]
+        np.subtract(g, scratch, out=v_t)  # v[t] = g[t] - theta*h[t] (eq. 6)
+        o_t = spikes[t]
         o_t[...] = v_t >= v_th            # O[t] = U(v[t] - Vth) (eq. 10/11)
         o_prev = o_t
         if ends is not None:
             rows = ends.get(t)
             if rows is not None:
-                h_final[rows] = h[rows]
-                o_final[rows] = o_t[rows]
+                final["g"][rows] = g[rows]
+                final["h"][rows] = h[rows]
+                final["o"][rows] = o_t[rows]
     if ends is None:
-        np.copyto(st["o"], spikes[:, -1])
+        np.copyto(st["o"], spikes[-1])
     else:
-        # Padded rows kept evolving the shared working ``h`` past their
+        # Padded rows kept evolving the shared working carry past their
         # end; restore every row from its own captured snapshot.
-        np.copyto(st["h"], h_final)
-        np.copyto(st["o"], o_final)
-        _ws_release(ws, h_final, o_final)
+        for key, snapshot in final.items():
+            np.copyto(st[key], snapshot)
+        _ws_release(ws, *final.values())
     _ws_release(ws, scratch)
-    return spikes, gv
 
 
-def _hard_reset_forward(layer, xs, st, csr, ws, weight,
-                        lengths=None, ends=None):
-    """Hard-reset layer: batched matmul -> leaky-integrate/reset scan.
+def _hard_reset_forward(layer, drive, spikes, st, ws, ends=None) -> None:
+    """Hard-reset layer: one leaky-integrate/reset pass over time.
 
-    Advances the post-reset membrane carry ``st = {v}`` in place and
-    returns ``(spikes, v_pre)``, both ``(batch, T, n_out)``.
+    Same buffer contract as :func:`_adaptive_forward`: ``drive`` (the
+    gain-folded crossbar product) is rewritten into the pre-reset
+    membrane ``v_pre[t]``, ``spikes`` receives ``O[t]``, and the
+    post-reset membrane carry ``st = {v}`` advances in place.
     """
-    dtype = xs.dtype
-    batch, steps, _ = xs.shape
-    n_out = layer.n_out
     neuron = layer.neuron
     alpha = neuron.alpha
     v_th = neuron.params.v_th
-
-    # Weighted input for every step at once (sparse over the raw spikes);
-    # fold the discretisation gain into the weight so the scan below is
-    # pure elementwise work.
-    gv = _layer_gv(layer.weight if weight is None else weight,
-                   xs, dtype, csr, ws, gain=float(neuron.input_gain))
-    spikes = _ws_empty(ws, (batch, steps, n_out), dtype)
     v_post = st["v"]
-    scratch = _ws_empty(ws, (batch, n_out), dtype)
+    scratch = _ws_empty(ws, v_post.shape, v_post.dtype)
     v_final = None
     if ends is not None:
-        v_final = _ws_empty(ws, (batch, n_out), dtype)
-    for t in range(steps):
-        v_t = gv[:, t]
+        v_final = _ws_empty(ws, v_post.shape, v_post.dtype)
+    for t in range(len(drive)):
+        v_t = drive[t]
         np.multiply(v_post, alpha, out=scratch)
         v_t += scratch                    # v_pre[t] = alpha*v_post[t-1] + j[t]
-        o_t = spikes[:, t]
+        o_t = spikes[t]
         o_t[...] = v_t >= v_th
         np.subtract(1.0, o_t, out=scratch)
         np.multiply(v_t, scratch, out=v_post)   # hard reset (eq. 1b)
@@ -535,7 +560,6 @@ def _hard_reset_forward(layer, xs, st, csr, ws, weight,
         np.copyto(st["v"], v_final)
         _ws_release(ws, v_final)
     _ws_release(ws, scratch)
-    return spikes, gv
 
 
 def fused_run(network, inputs: np.ndarray, record: bool = False, ws=None,
@@ -568,7 +592,7 @@ def fused_run(network, inputs: np.ndarray, record: bool = False, ws=None,
     input_csrs = []
     spikes = inputs
     for index, layer in enumerate(network.layers):
-        csr = _as_csr(x.reshape(-1, layer.n_in), ws)
+        csr = _as_csr(x.reshape(-1, layer.n_in))
         input_csrs.append(csr)
         spikes, v = fused_layer_forward(
             layer, x, _csr=csr, ws=ws,
@@ -748,9 +772,13 @@ def run_streaming(network, chunk: np.ndarray, state: StreamState,
     Each layer runs through the same per-kind kernel as
     :func:`fused_run`, seeded with the carried state.  Every crossbar
     product uses the CSR spike product unconditionally
-    (:func:`_as_csr_always`): CSR output rows are computed independently
-    in fixed index order, which makes the chunked/batched results
+    (:func:`_spike_csr`): CSR output rows are computed independently in
+    fixed index order, which makes the chunked/batched results
     bitwise-equal to a one-shot fused run whose probe also picked CSR.
+    The same independence lets the working buffers be time-major
+    ``(T, batch, n)``: every per-step slice is one contiguous block, and
+    layers after the first consume their input spike rows in time-major
+    order.  The last layer writes straight into the batch-major output.
 
     Unlike :func:`fused_run`, the network's layer/neuron scratch state is
     left untouched — many concurrent streams share one resident network.
@@ -760,23 +788,39 @@ def run_streaming(network, chunk: np.ndarray, state: StreamState,
     _check_weight_count(network, weights)
     if steps == 0:
         return np.zeros((batch, 0, network.sizes[-1]), dtype=state.dtype)
-    x = chunk
+    dtype = state.dtype
+    last = len(network.layers) - 1
+    # Layer 0 reads the chunk's own (batch-major) rows, so its drive
+    # buffer follows that order and the kernel walks its time-axis view.
+    time_major = False
+    x_buf = None
+    x = chunk.reshape(batch * steps, network.sizes[0])
     for index, (layer, st) in enumerate(zip(network.layers, state.layers)):
         weight = _resolve_weight_override(
             layer, None if weights is None else weights[index])
+        n_out = layer.n_out
+        drive = _ws_empty(ws, (steps, batch, n_out) if time_major
+                          else (batch, steps, n_out), dtype)
+        _crossbar(layer, weight, x, _spike_csr(x),
+                  drive.reshape(batch * steps, n_out), ws)
+        if index == last:
+            out = _ws_empty(ws, (batch, steps, n_out), dtype)
+            spikes = out.transpose(1, 0, 2)
+        else:
+            out = spikes = _ws_empty(ws, (steps, batch, n_out), dtype)
         kernel = (_adaptive_forward if layer.neuron_kind == "adaptive"
                   else _hard_reset_forward)
-        csr = _as_csr_always(x.reshape(batch * steps, layer.n_in), ws)
-        spikes, gv = kernel(layer, x, st, csr, ws, weight, lengths, ends)
-        _ws_release(ws, gv)
-        if ws is not None and x is not chunk:
-            ws.release(x)
-        x = spikes
+        kernel(layer, drive if time_major else drive.transpose(1, 0, 2),
+               spikes, st, ws, ends)
+        _ws_release(ws, drive, x_buf)
+        x_buf = out
+        x = out.reshape(batch * steps, n_out)
+        time_major = True
     if lengths is None:
         state.steps += steps
     else:
         state.steps += lengths
-    return x
+    return x_buf
 
 
 # -- backward ---------------------------------------------------------------

@@ -27,7 +27,6 @@ import warnings
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from ...common.errors import CircuitError
 from .netlist import (
@@ -142,6 +141,10 @@ class Circuit:
         -------
         TransientResult
         """
+        # Imported here, by its only user: ``scipy.linalg`` costs ~8 MB of
+        # resident memory, which serving processes should not pay.
+        from scipy.linalg import lu_factor, lu_solve
+
         if dt <= 0 or t_stop <= 0:
             raise CircuitError("t_stop and dt must be positive")
         resistors, capacitors, v_sources, b_sources = self._partition()

@@ -28,6 +28,7 @@ code and docs (catalog in ``docs/observability.md``).
 from __future__ import annotations
 
 import functools
+from array import array
 
 __all__ = [
     "Counter",
@@ -113,9 +114,11 @@ class Histogram:
 
     The buckets serve the Prometheus exposition (cumulative ``le``
     counts); the retained samples serve exact quantiles —
-    :meth:`percentile` matches ``numpy.percentile``'s default linear
-    interpolation, so report numbers computed here agree with the
-    numpy-based ones elsewhere in the repo.
+    :meth:`percentile` reproduces ``numpy.percentile``'s default linear
+    interpolation bit for bit, so report numbers computed here agree with
+    the numpy-based ones elsewhere in the repo.  Samples are packed C
+    doubles (``array('d')``, 8 B each, against ~33 B for a list of Python
+    floats): a server records one queue-wait sample per chunk.
     """
 
     __slots__ = ("name", "labels", "help", "buckets", "bucket_counts",
@@ -132,7 +135,7 @@ class Histogram:
         if not self.buckets:
             raise ValueError(f"histogram {name!r} needs at least one bucket")
         self.bucket_counts = [0] * (len(self.buckets) + 1)  # + the Inf bucket
-        self._samples: list[float] = []
+        self._samples = array("d")
         self._sum = 0.0
 
     @property
@@ -172,10 +175,14 @@ class Histogram:
             return window[0]
         rank = (p / 100.0) * (len(window) - 1)
         lower = int(rank)
-        frac = rank - lower
         if lower + 1 >= len(window):
             return window[-1]
-        return window[lower] + frac * (window[lower + 1] - window[lower])
+        frac = rank - lower
+        low, high = window[lower], window[lower + 1]
+        # numpy's lerp interpolates from the nearer neighbour.
+        if frac >= 0.5:
+            return high - (high - low) * (1 - frac)
+        return low + (high - low) * frac
 
     def __repr__(self) -> str:
         return (f"Histogram({_key_repr(self.name, self.labels)}: "

@@ -7,9 +7,9 @@ whose shapes repeat identically batch after batch during training.  A
 checked out by exact ``(shape, dtype)`` key, handed back once the training
 step that used them is finished, and served again on the next batch.  In
 steady state (constant batch shape) every large buffer of the kernels' own
-comes from the arena; what still allocates per step is foreign to it —
-SciPy's CSR products allocate their results, the CSR conversion its index
-arrays.
+comes from the arena — the forward's sparse products write into arena
+buffers too; what still allocates per step is the CSR conversion's index
+arrays (sized by the spike count) and the weight-gradient contraction.
 
 Design rules that keep this safe:
 
@@ -19,18 +19,15 @@ Design rules that keep this safe:
   shared across processes (each worker process builds its own).
 * ``release`` ignores arrays the workspace did not hand out, so callers may
   bulk-release a record's tensors without tracking which of them came from
-  the arena (e.g. a membrane trace produced by a SciPy sparse product is
-  foreign and simply skipped).
+  the arena (a foreign array is simply skipped).
 * Reuse is **opt-in at the call site**: every kernel entry point takes
   ``ws=None`` and behaves exactly as before when no workspace is supplied.
   Buffers that escape to user code (e.g. ``network.run`` outputs outside a
   trainer) are never pooled.
 
-The workspace also caches the CSR row-boundary scratch used by the sparse
-spike matmul (:func:`Workspace.row_bounds`): the ``arange(0, (m+1)*n, n)``
-array consumed by ``searchsorted`` is a pure function of the flattened
-spike-matrix shape, so in steady state the conversion allocates only the
-per-batch nonzero index vectors.
+The workspace holds nothing but its buffers: idle bytes stay under
+``max_bytes`` however many distinct shapes pass through it, which is what
+keeps a long-lived server with varied tick shapes at bounded memory.
 
 Equivalence (with-workspace == without, bitwise) is pinned by
 ``tests/unit/test_runtime.py``, including across consecutive calls with
@@ -74,7 +71,6 @@ class Workspace:
         self._lent: dict[int, tuple[tuple, np.ndarray]] = {}
         self._fifo: collections.deque[tuple] = collections.deque()
         self._free_bytes = 0
-        self._row_bounds: dict[tuple[int, int], np.ndarray] = {}
         self.hits = 0
         self.misses = 0
 
@@ -144,25 +140,14 @@ class Workspace:
                 dropped = stack.pop(0)
                 self._free_bytes -= dropped.nbytes
 
-    # -- CSR scratch --------------------------------------------------------
-    def row_bounds(self, m: int, n: int) -> np.ndarray:
-        """Cached ``arange(0, (m+1)*n, n)`` for direct CSR construction."""
-        key = (int(m), int(n))
-        bounds = self._row_bounds.get(key)
-        if bounds is None:
-            bounds = np.arange(0, (m + 1) * n, n)
-            self._row_bounds[key] = bounds
-        return bounds
-
     # -- maintenance --------------------------------------------------------
     def reclaim(self) -> None:
-        """Drop every idle buffer and cached scratch (checked-out buffers
-        stay valid; they are simply forgotten when released)."""
+        """Drop every idle buffer (checked-out buffers stay valid; they
+        are simply forgotten when released)."""
         self._free.clear()
         self._fifo.clear()
         self._free_bytes = 0
         self._lent.clear()
-        self._row_bounds.clear()
 
     @property
     def idle_bytes(self) -> int:

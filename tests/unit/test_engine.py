@@ -96,6 +96,87 @@ def test_spike_outer_matches_dense():
     np.testing.assert_allclose(spike_outer(dv, x), dv.T @ x, rtol=1e-12)
 
 
+def _sparse_case(name, dtype):
+    """An ``(m, n)`` matrix with nonzero values of mixed magnitude (so any
+    change of summation order shows in the low bits)."""
+    rng = np.random.default_rng(5)
+    m, n, density = {"single_row": (1, 37, 0.3), "no_nonzeros": (20, 30, 0.0),
+                     "empty_rows": (40, 25, 0.15),
+                     "stream_tick": (160, 700, 0.03)}[name]
+    x = np.where(rng.random((m, n)) < density,
+                 rng.standard_normal((m, n)) * 10.0 ** rng.integers(-3, 4,
+                                                                   (m, n)),
+                 0.0).astype(dtype)
+    if name == "empty_rows":
+        x[::3] = 0.0
+    return x
+
+
+SPARSE_CASES = ("single_row", "no_nonzeros", "empty_rows", "stream_tick")
+
+
+@pytest.mark.parametrize("case", SPARSE_CASES)
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+def test_spike_csr_is_scipys_canonical_csr(case, dtype):
+    from scipy import sparse
+    x = _sparse_case(case, dtype)
+    csr = engine_module._spike_csr(x)
+    want = sparse.csr_matrix(x)
+    assert csr.shape == want.shape and csr.nnz == want.nnz
+    assert csr.dtype == want.dtype
+    np.testing.assert_array_equal(csr.indptr, want.indptr)
+    np.testing.assert_array_equal(csr.indices, want.indices)
+    np.testing.assert_array_equal(csr.data, want.data)
+
+
+@pytest.mark.parametrize("case", SPARSE_CASES)
+@pytest.mark.parametrize("dtype", (np.float32, np.float64))
+def test_direct_csr_products_are_bitwise_scipys(case, dtype):
+    """The engine calls scipy's compiled ``csr_matvecs``/``csc_matvecs``
+    directly; both must equal the public ``csr_matrix(...) @ w`` and
+    ``.T @ dv`` bit for bit (a scipy upgrade that changes the private
+    signature fails here)."""
+    from scipy import sparse
+    x = _sparse_case(case, dtype)
+    m, n = x.shape
+    rng = np.random.default_rng(6)
+    w_t = rng.standard_normal((n, 19)).astype(dtype)
+    dv = rng.standard_normal((m, 13)).astype(dtype)
+    csr = engine_module._spike_csr(x)
+    public = sparse.csr_matrix(x)
+
+    want = public @ w_t
+    got = spike_matmul(x, w_t, csr=csr)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+    out = np.full((m, 19), np.nan, dtype=dtype)    # stale contents: zeroed
+    assert spike_matmul(x, w_t, csr=csr, out=out) is out
+    np.testing.assert_array_equal(out.view(np.uint8), want.view(np.uint8))
+
+    want = np.ascontiguousarray((public.T @ dv).T)
+    got = spike_outer(dv, x, csr=csr)
+    assert got.dtype == want.dtype and got.shape == (13, n)
+    np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+
+
+def test_direct_csr_products_check_shapes():
+    # The compiled kernels trust their sizes: a mismatched operand must
+    # raise before the call, as scipy's ``@`` does, never read or write
+    # out of bounds.
+    x = _sparse_case("empty_rows", np.float64)
+    csr = engine_module._spike_csr(x)
+    w_t = np.ones((x.shape[1] - 1, 4))
+    with pytest.raises(ShapeError):
+        spike_matmul(x, w_t, csr=csr)
+    w_t = np.ones((x.shape[1], 4))
+    for out in (np.empty((x.shape[0] - 1, 4)), np.empty((4, x.shape[0])).T,
+                np.empty((x.shape[0], 4), dtype=np.float32)):
+        with pytest.raises(ShapeError):
+            spike_matmul(x, w_t, csr=csr, out=out)
+    with pytest.raises(ShapeError):
+        spike_outer(np.ones((x.shape[0] + 1, 3)), x, csr=csr)
+
+
 # -- forward equivalence ----------------------------------------------------
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -374,8 +455,9 @@ def _count_exp_scan(monkeypatch):
 
 
 def test_training_step_materialises_no_synapse_trace(monkeypatch):
-    """A serial train step scans only each layer's narrow crossbar drive:
-    one exp_scan per adaptive layer, never the ``(batch, T, n_in)`` k."""
+    """A serial train step never calls exp_scan: the kernels filter the
+    narrow crossbar drive inside their pass over time, and the
+    ``(batch, T, n_in)`` synapse trace k is never materialised."""
     net = SpikingNetwork((40, 32, 24, 10), rng=0)
     rng = RandomState(1)
     x = (rng.random((16, 30, 40)) < 0.1).astype(np.float64)
@@ -385,7 +467,7 @@ def test_training_step_materialises_no_synapse_trace(monkeypatch):
     trainer.train_batch(x, y)        # the workspace is warm from here on
     calls = _count_exp_scan(monkeypatch)
     trainer.train_batch(x, y)
-    assert calls == [(16, 30, 32), (16, 30, 24), (16, 30, 10)]
+    assert calls == []
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -222,3 +222,22 @@ class TestWaveforms:
         assert stats["peak_to_peak"] == 2.0
         with pytest.raises(CircuitError):
             trace_stats(np.array([]))
+
+
+def test_serving_imports_leave_scipy_linalg_unloaded():
+    # scipy.linalg costs ~8 MB of resident memory; only the MNA transient
+    # solver uses it, so importing the serving and core packages (every
+    # benchmark and server process) must not load it.
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    code = ("import sys, repro.serve, repro.core; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('scipy.linalg')))")
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": os.path.abspath(src)})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

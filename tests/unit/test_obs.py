@@ -81,6 +81,26 @@ class TestInstruments:
         histogram.observe(1e9)
         assert histogram.percentile(50, start=start) == 1e9
 
+    def test_histogram_percentile_is_bitwise_numpy(self):
+        # Exact equality, not approx: the report's percentiles must be the
+        # very numbers numpy.percentile gives for the same window.
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            n = int(rng.integers(1, 250))
+            samples = (rng.exponential(rng.uniform(0.1, 50.0), size=n)
+                       * 10.0 ** int(rng.integers(-3, 4)))
+            histogram = MetricsRegistry().histogram("h")
+            for sample in samples:
+                histogram.observe(sample)
+            assert histogram.count == n
+            assert histogram.samples == tuple(samples.tolist())
+            for start in (0, int(rng.integers(0, n)), n - 1):
+                for p in (0, 1, 25, 50, 90, 95, 99, 99.9, 100,
+                          float(rng.uniform(0.0, 100.0))):
+                    got = histogram.percentile(p, start=start)
+                    assert got == float(np.percentile(samples[start:], p))
+            assert histogram.percentile(50, start=n) is None
+
     def test_histogram_empty_and_buckets(self):
         histogram = MetricsRegistry().histogram("h", buckets=(1.0, 10.0))
         assert histogram.percentile(95) is None

@@ -18,6 +18,7 @@ import pytest
 from repro.core import (
     CrossEntropyRateLoss,
     SpikingNetwork,
+    StreamState,
     Trainer,
     TrainerConfig,
     backward,
@@ -118,6 +119,45 @@ class TestWorkspace:
         assert ws.lent_count == 1
         ws.reclaim()
         assert ws.lent_count == 0
+
+    def test_memory_stays_bounded_over_varied_tick_shapes(self):
+        # A long-lived server's workspace sees a new ``count x t_max`` tick
+        # shape all the time.  Everything it retains — idle buffers and
+        # any cached scratch — must stay under its cap, not grow with the
+        # number of distinct shapes seen.
+        net = SpikingNetwork((40, 24, 10), rng=0)
+        ws = Workspace(max_bytes=1 << 16)
+        rng = np.random.default_rng(0)
+        for _ in range(80):
+            count = int(rng.integers(1, 9))
+            t_max = int(rng.integers(1, 17))
+            chunk = ws.empty((count, t_max, 40))
+            chunk[...] = rng.random(chunk.shape) < 0.2
+            state = StreamState.for_network(net, count, ws=ws)
+            lengths = rng.integers(1, t_max + 1, size=count)
+            out, _ = net.run_stream(chunk, state, workspace=ws,
+                                    lengths=lengths)
+            state.release_to(ws)
+            ws.release(chunk, out)
+            assert ws.lent_count == 0
+            assert _retained_bytes(ws) <= ws.max_bytes
+
+
+def _retained_bytes(ws) -> int:
+    """Bytes of every distinct array reachable from ``ws``'s attributes."""
+    seen, total, pending = set(), 0, list(vars(ws).values())
+    while pending:
+        item = pending.pop()
+        if isinstance(item, np.ndarray):
+            if id(item) not in seen:
+                seen.add(id(item))
+                total += item.nbytes
+        elif isinstance(item, dict):
+            pending.extend(item.keys())
+            pending.extend(item.values())
+        elif isinstance(item, (list, tuple, set)) or hasattr(item, "popleft"):
+            pending.extend(item)
+    return total
 
 
 class TestWorkspaceEquivalence:

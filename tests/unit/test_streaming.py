@@ -193,19 +193,49 @@ class TestStateContract:
             assert np.array_equal(layer.neuron.h, h)
 
 
+def continuous_drive_scans(net, x):
+    """Per layer, the continuous scan ``exp_scan(W x, alpha)`` of the
+    layer's crossbar drive over the whole of ``x`` (one-shot run)."""
+    _, record = net.run(x, record=True)
+    batch, steps, _ = x.shape
+    scans = []
+    for index, layer in enumerate(net.layers):
+        flat = record.layer_input(index).reshape(batch * steps, layer.n_in)
+        drive = engine_mod.spike_matmul(flat, layer.weight.T.copy(),
+                                        csr=engine_mod._spike_csr(flat))
+        scans.append(exp_scan(drive.reshape(batch, steps, layer.n_out),
+                              layer.alpha))
+    return scans
+
+
 class TestExpScanCarry:
+    """The kernels fold the synapse scan into their pass over time; the
+    filtered drive they carry between chunks must still be exactly the
+    continuous scan."""
+
     def test_carry_matches_continuous_scan(self):
-        rng = np.random.default_rng(0)
-        xs = rng.standard_normal((3, 20, 5))
-        full = exp_scan(xs.copy(), 0.7, out=xs.copy())
-        a = exp_scan(xs[:, :8].copy(), 0.7, out=xs[:, :8].copy())
-        b = exp_scan(xs[:, 8:].copy(), 0.7, out=xs[:, 8:].copy(),
-                     carry=a[:, -1].copy())
-        assert np.array_equal(full, np.concatenate([a, b], axis=1))
+        net = make_net()
+        x = make_inputs()
+        scans = continuous_drive_scans(net, x)
+        rng = np.random.default_rng(3)
+        state, start = None, 0
+        while start < STEPS:
+            stop = min(STEPS, start + int(rng.integers(1, 12)))
+            _, state = net.run_stream(x[:, start:stop], state)
+            for carry, scan in zip(state.layers, scans):
+                np.testing.assert_array_equal(
+                    carry["g"].view(np.uint8), scan[:, stop - 1].view(np.uint8))
+            start = stop
 
     def test_carry_non_aliased_output(self):
-        rng = np.random.default_rng(1)
-        xs = rng.standard_normal((2, 10, 4))
-        full = exp_scan(xs, 0.5)
-        b = exp_scan(xs[:, 4:], 0.5, carry=full[:, 3])
-        assert np.array_equal(full[:, 4:], b)
+        """Padded rows carry the scan at their own final valid step."""
+        net = make_net()
+        x = make_inputs()
+        scans = continuous_drive_scans(net, x)
+        lengths = np.random.default_rng(4).integers(1, STEPS + 1, size=BATCH)
+        _, state = net.run_stream(x, lengths=lengths)
+        rows = np.arange(BATCH)
+        for carry, scan in zip(state.layers, scans):
+            np.testing.assert_array_equal(
+                carry["g"].view(np.uint8),
+                scan[rows, lengths - 1].view(np.uint8))
