@@ -31,9 +31,10 @@ work then splits in two:
 
 The kernels index a *time-axis view* ``(T, batch, n)`` of their buffers.
 A stream (:func:`run_streaming`) keeps its working buffers time-major, so
-every per-step slice is one contiguous block; a batch run
-(:func:`fused_run`) passes the transposed view of its batch-major record
-buffers, which the backward pass reads.
+their per-step slices are contiguous blocks (only layer 0's drive follows
+the batch-major chunk); a batch run (:func:`fused_run`) passes the
+transposed view of its batch-major record buffers, which the backward
+pass reads.
 
 There is one forward kernel per neuron kind (:func:`_adaptive_forward`,
 :func:`_hard_reset_forward`).  Each advances a carried per-layer state —
@@ -776,9 +777,11 @@ def run_streaming(network, chunk: np.ndarray, state: StreamState,
     fixed index order, which makes the chunked/batched results
     bitwise-equal to a one-shot fused run whose probe also picked CSR.
     The same independence lets the working buffers be time-major
-    ``(T, batch, n)``: every per-step slice is one contiguous block, and
+    ``(T, batch, n)``: their per-step slices are contiguous blocks, and
     layers after the first consume their input spike rows in time-major
-    order.  The last layer writes straight into the batch-major output.
+    order.  Layer 0's drive follows the batch-major chunk (transposing
+    the chunk costs more than the strided steps save), and the last
+    layer writes straight into the batch-major output.
 
     Unlike :func:`fused_run`, the network's layer/neuron scratch state is
     left untouched — many concurrent streams share one resident network.
