@@ -39,12 +39,13 @@ bench-paper:
 	$(PYTHON) -m pytest benchmarks -q
 
 ## alternating base/change pairs of the BENCHMARK.json benchmark: medians,
-## change/base ratios, metrics past their bound (BASE is a git ref)
-BASE ?= HEAD~1
+## change/base ratios, metrics past their bound (BASE, required, is the
+## commit the change is built on)
 PAIRS ?= 5
 BENCH_SECONDS ?= 30
 WORKLOAD ?= stream-saturate
 bench-pairs:
+	@test -n "$(BASE)" || { echo "set BASE=<base commit>" >&2; exit 2; }
 	$(PYTHON) tools/bench_pairs.py --base $(BASE) --pairs $(PAIRS) \
 		--seconds $(BENCH_SECONDS) --workload $(WORKLOAD)
 

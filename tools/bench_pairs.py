@@ -10,16 +10,18 @@ medians of both sides, the change/base ratio and how many pairs the
 change won, and flags every metric whose median got worse by more than
 its declared bound.
 
-Usage, from the repo root::
+Usage, from the repo root, with ``--base`` the commit the change is
+built on::
 
-    python tools/bench_pairs.py --base HEAD~1 --pairs 5 --seconds 30 \\
-        --workload stream-saturate
+    python tools/bench_pairs.py --base <base-commit> --pairs 5 \\
+        --seconds 30 --workload stream-saturate
 
 ``--base`` is checked out into a temporary ``git worktree`` that is
-removed afterwards; ``--base-tree DIR`` runs an existing checkout
-instead.  The tool only reads ``perfbench/`` and ``BENCHMARK.json``
-(runs use ``--trace 0``, which writes nothing).  It exits 1 when a run
-fails or is incorrect or a metric is flagged, else 0.
+removed afterwards.  Pair ``i`` runs both trees with seed ``--seed + i``;
+another ``--seed`` gives an independent set of pairs.  The tool only
+reads ``perfbench/`` and ``BENCHMARK.json`` (runs use ``--trace 0``,
+which writes nothing).  It exits 1 when a run fails or is incorrect or a
+metric is flagged, else 0.
 """
 
 from __future__ import annotations
@@ -121,14 +123,12 @@ def bad_runs(results: dict) -> list[str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    source = parser.add_mutually_exclusive_group(required=True)
-    source.add_argument("--base", help="git ref to compare against")
-    source.add_argument("--base-tree", type=Path,
-                        help="existing checkout to compare against")
+    parser.add_argument("--base", required=True,
+                        help="git ref of the commit the change is built on")
+    parser.add_argument("--workload", required=True,
+                        help="BENCHMARK.json workload name")
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--workload", action="append",
-                        help="workload name (repeatable; default: all)")
     parser.add_argument("--seed", type=int, default=1,
                         help="seed of the first pair (pair i uses seed+i)")
     args = parser.parse_args(argv)
@@ -137,40 +137,28 @@ def main(argv=None) -> int:
         parser.error("--pairs must be >= 1")
 
     spec = json.loads((REPO / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
-    known = {w["name"] for w in spec["workloads"]}
-    unknown = sorted(set(workloads) - known)
-    if unknown:
-        parser.error(f"unknown workload(s) {unknown}; known: {sorted(known)}")
+    known = sorted(w["name"] for w in spec["workloads"])
+    if args.workload not in known:
+        parser.error(f"unknown workload {args.workload!r}; known: {known}")
 
-    worktree = None
-    failures = []
+    base = Path(tempfile.mkdtemp(prefix="bench-base-"))
     try:
-        if args.base_tree is not None:
-            base = args.base_tree.resolve()
-        else:
-            worktree = base = Path(tempfile.mkdtemp(prefix="bench-base-"))
-            subprocess.run(["git", "worktree", "add", "--detach",
-                            str(worktree), args.base], cwd=REPO, check=True,
-                           capture_output=True)
-        for workload in workloads:
-            print(f"-- {workload}: base={args.base or base} change={REPO}")
-            results = run_pairs(base, REPO, workload, args.pairs,
-                                args.seconds, args.seed)
-            rows, flagged = compare(results, spec["end_to_end"])
-            print(report(workload, results, rows))
-            failures += [f"{workload}: {line}" for line in bad_runs(results)]
-            failures += [f"{workload}: {name} past its bound"
-                         for name in flagged]
+        subprocess.run(["git", "worktree", "add", "--detach", str(base),
+                        args.base], cwd=REPO, check=True, capture_output=True)
+        print(f"-- {args.workload}: base={args.base} change={REPO}")
+        results = run_pairs(base, REPO, args.workload, args.pairs,
+                            args.seconds, args.seed)
     finally:
-        if worktree is not None:
-            subprocess.run(["git", "worktree", "remove", "--force",
-                            str(worktree)], cwd=REPO, capture_output=True)
-            shutil.rmtree(worktree, ignore_errors=True)
+        subprocess.run(["git", "worktree", "remove", "--force", str(base)],
+                       cwd=REPO, capture_output=True)
+        shutil.rmtree(base, ignore_errors=True)
+    rows, flagged = compare(results, spec["end_to_end"])
+    print(report(args.workload, results, rows))
+    failures = bad_runs(results) + [f"{name} past its bound"
+                                    for name in flagged]
     for line in failures:
-        print(f"FAIL {line}")
+        print(f"FAIL {args.workload}: {line}")
     return 1 if failures else 0
-
 
 if __name__ == "__main__":
     sys.exit(main())
