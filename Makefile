@@ -40,14 +40,16 @@ bench-paper:
 
 ## alternating base/change pairs of the BENCHMARK.json benchmark: medians,
 ## change/base ratios, metrics past their bound (BASE, required, is the
-## commit the change is built on)
+## commit the change is built on); CLAIM=<metric> judges a gain on that
+## metric under the gain rule
 PAIRS ?= 5
 BENCH_SECONDS ?= 30
 WORKLOAD ?= stream-saturate
 bench-pairs:
 	@test -n "$(BASE)" || { echo "set BASE=<base commit>" >&2; exit 2; }
 	$(PYTHON) tools/bench_pairs.py --base $(BASE) --pairs $(PAIRS) \
-		--seconds $(BENCH_SECONDS) --workload $(WORKLOAD)
+		--seconds $(BENCH_SECONDS) --workload $(WORKLOAD) \
+		$(if $(CLAIM),--claim $(CLAIM))
 
 ## benchmark self-test (perfbench/, BENCHMARK.json): result schema, the
 ## bitwise-serving and gradient checks catch planted corruptions

@@ -443,14 +443,13 @@ def fused_layer_forward(layer, xs: np.ndarray, _csr=_AUTO_CSR, ws=None,
     return spikes, v
 
 
-def _zero_carry(layer, batch: int, dtype, zeros=np.zeros
-                ) -> dict[str, np.ndarray]:
+def _zero_carry(layer, batch: int, dtype) -> dict[str, np.ndarray]:
     """A fresh per-layer carry: ``{g, h, o}`` (adaptive) or ``{v}``
     (hard reset), all ``(batch, n_out)`` zeros of ``dtype``."""
     shape = (batch, layer.n_out)
     if layer.neuron_kind == "adaptive":
-        return {key: zeros(shape, dtype=dtype) for key in ("g", "h", "o")}
-    return {"v": zeros(shape, dtype=dtype)}
+        return {key: np.zeros(shape, dtype=dtype) for key in ("g", "h", "o")}
+    return {"v": np.zeros(shape, dtype=dtype)}
 
 
 def _crossbar(layer, weight, flat_x, csr, out, ws) -> None:
@@ -639,11 +638,14 @@ class StreamState:
     (:func:`fused_run`) is the same kernel started from a fresh all-zero
     carry.
 
-    Instances are plain data: they never reference the network (a server
-    holds thousands of them per resident model) and the network's own
-    layer/neuron scratch state is untouched by streaming runs.
-    ``batch`` may exceed 1 — the serving micro-batcher gathers many
-    single-session states into one batched state via :meth:`copy_row`.
+    Instances are plain data: they never reference the network and the
+    network's own layer/neuron scratch state is untouched by streaming
+    runs.  ``batch`` may exceed 1, and rows are independent streams: a
+    model server keeps every live session as one row (a *slot*) of a
+    single table state, and each tick gathers the slots it serves into a
+    :meth:`prefix` of a gather state with one ``np.take`` per carry
+    array, then stores the advanced rows back by index (see
+    :class:`~repro.serve.session.SlotTable`).
     """
 
     def __init__(self, dtype, batch: int, sizes: tuple, kinds: tuple,
@@ -658,36 +660,33 @@ class StreamState:
 
     @classmethod
     def for_network(cls, network, batch: int, precision=None,
-                    dtype=np.float64, ws=None) -> "StreamState":
-        """A fresh (all-zero) state for ``batch`` independent streams.
-
-        ``ws`` optionally serves the state arrays from a
-        :class:`~repro.runtime.workspace.Workspace` — only for transient
-        states whose owner recycles them via :meth:`release_to` (the
-        serving tick's gather state); session-lived states use plain
-        allocation.
-        """
+                    dtype=np.float64) -> "StreamState":
+        """A fresh (all-zero) state for ``batch`` independent streams."""
         if batch <= 0:
             raise ValueError(f"batch must be positive, got {batch}")
         resolved = resolve_precision(precision) or np.dtype(dtype)
-        zeros = np.zeros if ws is None else ws.zeros
-        layers = [_zero_carry(layer, batch, resolved, zeros)
+        layers = [_zero_carry(layer, batch, resolved)
                   for layer in network.layers]
         return cls(resolved, batch, network.sizes,
                    tuple(layer.neuron_kind for layer in network.layers),
                    layers)
 
-    def release_to(self, ws) -> None:
-        """Hand workspace-served state arrays back to ``ws``.
+    def prefix(self, count: int) -> "StreamState":
+        """A state over rows ``[:count]`` of this one's carry arrays.
 
-        Only for states built with ``for_network(..., ws=...)`` whose
-        lifetime has ended (the serving tick's batched gather state);
-        the state must not be used afterwards.  Plain-allocated arrays
-        are ignored by ``ws.release``, so calling this on a mixed or
-        plain state is harmless.
+        The carries are views (each still C-contiguous), so advancing
+        the prefix advances these rows; ``steps`` is a fresh zero count.
         """
-        for arrays in self.layers:
-            ws.release(*arrays.values())
+        if not 0 < count <= self.batch:
+            raise ValueError(f"count must lie in [1, {self.batch}], "
+                             f"got {count}")
+        return StreamState(self.dtype, count, self.sizes, self.kinds,
+                           [{key: arr[:count] for key, arr in layer.items()}
+                            for layer in self.layers])
+
+    def arrays(self) -> list[np.ndarray]:
+        """Every carry array, in layer order then key order."""
+        return [arr for layer in self.layers for arr in layer.values()]
 
     def compatible_with(self, network) -> bool:
         """Whether this state was built for ``network``'s architecture."""
@@ -698,7 +697,7 @@ class StreamState:
     def copy_row(self, row: int, source: "StreamState",
                  source_row: int) -> None:
         """Copy one stream's state from ``source[source_row]`` into
-        ``self[row]`` — the serving gather/scatter primitive."""
+        ``self[row]`` (e.g. to fork or adopt a single stream)."""
         if source.sizes != self.sizes or source.kinds != self.kinds:
             raise ValueError("cannot copy state rows across stream kinds")
         for mine, theirs in zip(self.layers, source.layers):

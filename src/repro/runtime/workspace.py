@@ -14,8 +14,8 @@ arrays (sized by the spike count) and the weight-gradient contraction.
 Design rules that keep this safe:
 
 * A workspace is **single-threaded state** — one per trainer, one per pool
-  worker, one per model server (the serving tick's padded gather buffer
-  and transient batched stream state recycle through it).  It is never
+  worker, one per model server (the serving tick's padded chunk buffer
+  and the kernel's working buffers recycle through it).  It is never
   shared across processes (each worker process builds its own).
 * ``release`` ignores arrays the workspace did not hand out, so callers may
   bulk-release a record's tensors without tracking which of them came from

@@ -10,14 +10,15 @@ The pieces, bottom-up:
 * :class:`~repro.core.engine.StreamState` (in :mod:`repro.core`) — the
   per-stream carry state that makes chunked inference bitwise-equal to a
   one-shot run;
-* :mod:`repro.serve.session` — a :class:`Session` owns one client's
-  stream state and bookkeeping on a served model;
+* :mod:`repro.serve.session` — a :class:`Session` is one client's
+  stream and bookkeeping on a served model; its carry is one row (slot)
+  of the server's :class:`~repro.serve.session.SlotTable`;
 * :mod:`repro.serve.batcher` — the :class:`MicroBatcher` coalesces
   pending chunks from many sessions into one fused batch per tick under
   ``max_batch`` / ``max_wait_ms`` caps, FIFO-fair, with a bounded queue
   that rejects (:class:`~repro.common.errors.CapacityError`) when full;
 * :mod:`repro.serve.server` — the :class:`ModelServer` front-end:
-  sessions, ticks (gather states -> one padded fused run -> scatter),
+  sessions, ticks (take slots -> one padded fused run -> store slots),
   offline bulk evaluation (optionally sharded over a
   :class:`~repro.runtime.pool.WorkerPool`);
 * :mod:`repro.serve.registry` — a versioned on-disk

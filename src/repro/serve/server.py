@@ -8,14 +8,17 @@ the server's :meth:`~ModelServer.poll` runs a *tick* whenever the
 micro-batcher says one is due:
 
 1. **collect** — up to ``max_batch`` queued chunks, FIFO, one per session;
-2. **gather** — copy each session's batch-1 stream state into one batched
-   :class:`~repro.core.engine.StreamState` and the chunks into one padded
-   ``(B, T_max, n_in)`` workspace buffer (rows shorter than ``T_max`` are
-   zero-padded and tracked via ``lengths``);
+2. **gather** — take the sessions' slots (their rows of the server's
+   :class:`~repro.serve.session.SlotTable`) into a prefix of one gather
+   :class:`~repro.core.engine.StreamState`, one ``np.take`` per carry
+   array, and copy the chunks into one padded ``(B, T_max, n_in)``
+   workspace buffer (rows shorter than ``T_max`` are zero-padded and
+   tracked via ``lengths``);
 3. **run** — a single :meth:`~repro.core.network.SpikingNetwork.run_stream`
    call advances all sessions at once;
-4. **scatter** — copy each advanced state row back to its session and
-   complete its ticket with the row's valid output slice.
+4. **scatter** — once the run has returned, store the advanced rows back
+   into the sessions' slots (one indexed store per carry array) and
+   complete each ticket with its row's valid output slice.
 
 The gather/scatter is bitwise-transparent: a session
 receives exactly the spikes it would have received streaming alone,
@@ -58,7 +61,7 @@ import numpy as np
 from .. import obs as _obs
 from ..common import faults as _faults
 from ..common.errors import ShapeError, StateError
-from ..core import StreamState, resolve_precision
+from ..core import resolve_precision
 from ..core.network import SpikingNetwork
 from ..core.trainer import run_in_batches
 from ..hardware.mapped_network import (
@@ -67,7 +70,7 @@ from ..hardware.mapped_network import (
 )
 from ..runtime.workspace import Workspace
 from .batcher import MicroBatcher, StreamRequest, Ticket
-from .session import Session
+from .session import Session, SlotTable
 
 __all__ = ["ModelServer"]
 
@@ -203,7 +206,12 @@ class ModelServer:
         self.model_profile: str | None = None
         self.model_meta: dict = {}
         self._workspace = Workspace()
+        self._slots = SlotTable(network, self.dtype, self.batcher.max_batch,
+                                shadow=self.shadow)
         self._sessions: dict[str, Session] = {}
+        #: Closed or reaped sessions whose slot waits for their queued
+        #: chunks to drain.
+        self._draining: dict[str, Session] = {}
         self._session_seq = 0
         self._request_seq = 0
         self.instance = instance
@@ -348,6 +356,12 @@ class ModelServer:
             raise StateError(
                 f"ticket accounting drift: submitted={submitted} but "
                 f"accounted={accounted} ({books})")
+        holders = len(self._sessions) + len(self._draining)
+        if self._slots.held != holders:
+            raise StateError(
+                f"slot accounting drift: {self._slots.held} slots held by "
+                f"{holders} sessions")
+        books["slots"] = holders
         return books
 
     # -- sessions ------------------------------------------------------------
@@ -356,15 +370,7 @@ class ModelServer:
         now = self.clock() if now is None else now
         self._session_seq += 1
         session_id = f"s{self._session_seq:06d}"
-        state = StreamState.for_network(self.network, 1, dtype=self.dtype)
-        shadow_state = None
-        if self.shadow:
-            # Same architecture, same dtype — only the weights differ at
-            # tick time, so the shadow state is an ordinary stream state.
-            shadow_state = StreamState.for_network(
-                self.network, 1, dtype=self.dtype)
-        self._sessions[session_id] = Session(session_id, state, now,
-                                             shadow_state=shadow_state)
+        self._sessions[session_id] = Session(session_id, self._slots, now)
         return session_id
 
     def session(self, session_id: str) -> Session:
@@ -374,12 +380,32 @@ class ModelServer:
         return session
 
     def close_session(self, session_id: str) -> None:
-        """Drop a session's state.  Its queued chunks (if any) still
-        complete — the session object lives until they drain."""
-        self.session(session_id)
-        del self._sessions[session_id]
+        """Drop a session.  Its queued chunks (if any) still complete —
+        its slot is freed only once they drain."""
+        self._retire(self.session(session_id))
         self._counters["closed_sessions"].inc()
         self._event("session.closed", session=session_id)
+
+    def _retire(self, session: Session) -> None:
+        """Forget ``session``; free its slot now, or once its queued
+        chunks drain (:meth:`_release_drained`)."""
+        del self._sessions[session.session_id]
+        if self.batcher.session_pending(session.session_id):
+            self._draining[session.session_id] = session
+        else:
+            session.release()
+
+    def _release_drained(self) -> None:
+        """Free the slots of retired sessions with nothing left queued.
+
+        Runs after every queue removal (tick, shedding, fail-over), and
+        after the tick's scatter, so a slot is never reused while a
+        chunk of its old session can still write to it.
+        """
+        drained = [sid for sid in self._draining
+                   if not self.batcher.session_pending(sid)]
+        for sid in drained:
+            self._draining.pop(sid).release()
 
     @property
     def sessions(self) -> int:
@@ -405,7 +431,7 @@ class ModelServer:
                 and not self.batcher.session_pending(session_id)):
             # Lazy reap: an abandoned session is indistinguishable from a
             # closed one by the time its client returns.
-            del self._sessions[session_id]
+            self._retire(session)
             self._counters["reaped_sessions"].inc()
             self._event("session.reaped", session=session_id)
             raise StateError(
@@ -496,6 +522,7 @@ class ModelServer:
                             session=request.session.session_id,
                             error=reason)
                 failed += 1
+        self._release_drained()
         return failed
 
     def infer(self, session_id: str, chunk: np.ndarray,
@@ -515,12 +542,14 @@ class ModelServer:
         """Expire queued requests past their deadline (TTL shedding)."""
         if self.request_ttl is None:
             return
-        for request in self.batcher.shed_expired(now):
+        shed = self.batcher.shed_expired(now)
+        for request in shed:
             request.ticket.expire(now)
             self._counters["expired"].inc()
             self._event("ticket.expired", request=request.seq,
                         session=request.session.session_id,
                         waited_ms=(now - request.arrival) * 1e3)
+        self._release_drained()
 
     def _reap_sessions(self, now: float) -> None:
         """Drop sessions idle past ``session_ttl_s`` with nothing queued."""
@@ -532,7 +561,7 @@ class ModelServer:
                 and not self.batcher.session_pending(sid))
         ]
         for sid in reapable:
-            del self._sessions[sid]
+            self._retire(self._sessions[sid])
             self._counters["reaped_sessions"].inc()
             self._event("session.reaped", session=sid)
 
@@ -590,12 +619,13 @@ class ModelServer:
                                               degraded, span=tick_span)
                 except Exception:
                     # The batched attempt died mid-tick: its workspace
-                    # buffers are stranded mid-lend, and no session state
-                    # was advanced (the scatter never ran).  Reclaim and
+                    # buffers are stranded mid-lend, and no slot was
+                    # advanced (the scatter never ran).  Reclaim and
                     # retry each chunk in isolation.
                     self._workspace.reclaim()
                     completed = self._isolate(requests, poisoned, weights,
                                               now, degraded)
+        self._release_drained()
         self._counters["ticks"].inc()
         self._max_tick_batch.set_max(len(requests))
         return completed
@@ -623,6 +653,8 @@ class ModelServer:
         n_in = self.network.sizes[0]
         count = len(requests)
         lengths = np.fromiter((r.steps for r in requests), np.int64, count)
+        slots = np.fromiter((r.session.slot for r in requests), np.intp,
+                            count)
         t_max = int(lengths.max())
         t0 = clock() if clock is not None else 0.0
         xs = ws.empty((count, t_max, n_in), self.dtype)
@@ -631,23 +663,17 @@ class ModelServer:
             xs[row, :steps] = request.chunk
             if steps < t_max:
                 xs[row, steps:] = 0.0
-        # The gather state is tick-transient, so its arrays come from
-        # (and return to) the workspace: steady-state serving with
-        # repeating tick shapes allocates nothing here.
-        batched = StreamState.for_network(self.network, count,
-                                          dtype=self.dtype, ws=ws)
-        for row, request in enumerate(requests):
-            batched.copy_row(row, request.session.state, 0)
+        batched = self._slots.gather(slots)
         t1 = clock() if clock is not None else 0.0
         outputs, _ = self.network.run_stream(xs, batched,
                                              lengths=lengths,
                                              workspace=ws,
                                              weights=weights)
         t2 = clock() if clock is not None else 0.0
-        divergences = self._shadow_divergences(requests, xs, lengths,
+        self._slots.scatter(slots, batched, lengths)
+        divergences = self._shadow_divergences(requests, slots, xs, lengths,
                                                outputs, ws)
         for row, request in enumerate(requests):
-            request.session.state.copy_row(0, batched, row)
             request.session.last_active = now
             request.session.chunks += 1
             ticket = request.ticket
@@ -661,7 +687,6 @@ class ModelServer:
                         session=request.session.session_id,
                         steps=request.steps, degraded=degraded,
                         retried=retried, divergence=ticket.divergence)
-        batched.release_to(ws)
         ws.release(xs, outputs)
         if clock is not None:
             end = clock()
@@ -705,7 +730,8 @@ class ModelServer:
                         session=request.session.session_id, error=error)
         return completed
 
-    def _shadow_divergences(self, requests, xs, lengths, outputs, ws):
+    def _shadow_divergences(self, requests, slots, xs, lengths, outputs,
+                            ws):
         """Shadow pass behind a circuit breaker; ``None`` when disabled.
 
         A shadow failure (a real error, or the ``serve.shadow.raise``
@@ -718,7 +744,8 @@ class ModelServer:
             return None
         try:
             _faults.maybe_raise("serve.shadow.raise")
-            return self._run_shadow(requests, xs, lengths, outputs, ws)
+            return self._run_shadow(requests, slots, xs, lengths, outputs,
+                                    ws)
         except Exception:
             self._counters["shadow_failures"].inc()
             self._event("serve.shadow_failure",
@@ -730,9 +757,12 @@ class ModelServer:
                             threshold=self.shadow_threshold)
             return None
 
-    def _run_shadow(self, requests, xs, lengths, outputs, ws) -> list[float]:
-        """Advance every session's hardware shadow stream on the same
-        gathered chunk; returns the per-row output divergence.
+    def _run_shadow(self, requests, slots, xs, lengths, outputs,
+                    ws) -> list[float]:
+        """Advance the sessions' shadow-table rows on the same gathered
+        chunk; returns the per-row output divergence.  The primary rows
+        are already scattered, so the shadow pass reuses the gather
+        state.
 
         Divergence is the fraction of output spike entries (over the
         row's valid steps) on which the ideal and hardware models
@@ -741,20 +771,16 @@ class ModelServer:
         """
         count = len(requests)
         with self._span("serve.shadow", batch=count) as shadow_span:
-            shadow_batched = StreamState.for_network(self.network, count,
-                                                     dtype=self.dtype, ws=ws)
-            for row, request in enumerate(requests):
-                shadow_batched.copy_row(row, request.session.shadow_state, 0)
+            shadow_batched = self._slots.gather(slots, shadow=True)
             shadow_out, _ = self.network.run_stream(
                 xs, shadow_batched, lengths=lengths, workspace=ws,
                 weights=self.hardware.weight_list())
+            self._slots.scatter(slots, shadow_batched, lengths, shadow=True)
             divergences = []
             for row, request in enumerate(requests):
-                request.session.shadow_state.copy_row(0, shadow_batched, row)
                 steps = request.steps
                 divergences.append(float(np.mean(
                     outputs[row, :steps] != shadow_out[row, :steps])))
-            shadow_batched.release_to(ws)
             ws.release(shadow_out)
             if shadow_span is not None:
                 shadow_span.set(divergence=float(sum(divergences)) / count)
@@ -853,8 +879,10 @@ class ModelServer:
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:
-        """Drop all sessions and pooled buffers (idempotent)."""
-        self._sessions.clear()
+        """Drop all sessions and pooled buffers (idempotent).  Queued
+        chunks still complete if the queue is flushed afterwards."""
+        for session in list(self._sessions.values()):
+            self._retire(session)
         self._workspace.reclaim()
 
     def __enter__(self) -> "ModelServer":

@@ -3,11 +3,14 @@
 A hypothesis :class:`~hypothesis.stateful.RuleBasedStateMachine` drives a
 :class:`~repro.serve.ModelServer` through arbitrary sequences of
 ``open_session`` / ``submit`` (chunks of random length) / ``poll`` and
-``flush`` at a random, advancing clock / ``close_session``.  After every
-step two laws must hold (``docs/serving.md``):
+``flush`` at a random, advancing clock / ``close_session`` (also right
+after a submit, so sessions close with chunks still queued).  Every run
+opens more sessions than the slot table's initial capacity, so it
+crosses at least one table growth.  After every step two laws must hold
+(``docs/serving.md``):
 
-* the server's books balance (:meth:`~repro.serve.ModelServer.
-  check_invariants`);
+* the server's books balance, tickets and slots alike
+  (:meth:`~repro.serve.ModelServer.check_invariants`);
 * every completed ticket's outputs, concatenated per session, are bitwise
   equal to the same accepted chunks streamed alone through
   :meth:`~repro.core.network.SpikingNetwork.run_stream` from a fresh
@@ -23,6 +26,7 @@ from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
     invariant,
+    multiple,
     rule,
 )
 
@@ -48,10 +52,11 @@ def make_chunk(steps, seed, density=0.15):
 class ServerMachine(RuleBasedStateMachine):
     sessions = Bundle("sessions")
 
-    @initialize(precision=st.sampled_from(["float64", "float32"]),
+    @initialize(target=sessions,
+                precision=st.sampled_from(["float64", "float32"]),
                 max_batch=st.integers(1, 4),
-                queue_limit=st.integers(2, 8))
-    def start(self, precision, max_batch, queue_limit):
+                queue_limit=st.integers(2, 8), extra=st.integers(1, 3))
+    def start(self, precision, max_batch, queue_limit, extra):
         self.net = make_net()
         self.precision = precision
         self.server = ModelServer(self.net, precision=precision,
@@ -64,6 +69,10 @@ class ServerMachine(RuleBasedStateMachine):
         #: Per session: the solo stream state and how many accepted
         #: chunks it has consumed (checked lazily as tickets complete).
         self.solo = {}
+        capacity = self.server._slots.capacity
+        sids = [self.open_session() for _ in range(capacity + extra)]
+        assert self.server._slots.capacity > capacity   # the table grew
+        return multiple(*sids)
 
     def teardown(self):
         if hasattr(self, "server"):
@@ -100,6 +109,11 @@ class ServerMachine(RuleBasedStateMachine):
         self.now += dt
         self.server.flush(now=self.now)
         assert self.server.pending == 0
+
+    @rule(sid=sessions, steps=st.integers(1, 9), seed=st.integers(0, 999))
+    def submit_then_close(self, sid, steps, seed):
+        self.submit(sid, steps, seed)
+        self.close_session(sid)
 
     @rule(sid=sessions)
     def close_session(self, sid):

@@ -74,3 +74,62 @@ def test_bad_runs_reports_incorrect_failed_and_crashed(bench_pairs):
         "change run 1: correct=True failed=3 exit=0",
         "change run 2: correct=True failed=0 exit=1",
     ]
+
+
+THROUGHPUT = END_TO_END[0]
+
+
+def pairs_of(base, change):
+    return {"base": [result(throughput_cps=v) for v in base],
+            "change": [result(throughput_cps=v) for v in change]}
+
+
+def test_claim_met(bench_pairs):
+    base = [100.0, 104.0, 96.0, 101.0, 99.0, 103.0, 97.0, 100.0, 102.0,
+            98.0]
+    change = [v + 12.0 for v in base]
+    change[3] = 95.0                  # one lost pair still meets 9/10
+    verdict = bench_pairs.judge_claim(pairs_of(base, change), THROUGHPUT)
+    assert verdict["unmet"] == []
+    assert (verdict["wins"], verdict["pairs"]) == (9, 10)
+    assert verdict["base"] == pytest.approx((98.25, 100.0, 101.75))
+    assert verdict["gap"] == pytest.approx(11.5)
+    assert verdict["iqr"] == pytest.approx(3.5)
+    assert bench_pairs.claim_report(verdict).splitlines()[-1] \
+        == "GAIN throughput_cps"
+
+
+def test_claim_with_ties_is_not_met(bench_pairs):
+    base = [100.0 + i for i in range(10)]
+    change = list(base)               # eight ties, two wins
+    change[0] += 50.0
+    change[1] += 50.0
+    verdict = bench_pairs.judge_claim(pairs_of(base, change), THROUGHPUT)
+    assert verdict["wins"] == 2
+    assert any(line.startswith("won 2/10") for line in verdict["unmet"])
+    assert bench_pairs.claim_report(verdict).splitlines()[-1].startswith(
+        "NO GAIN throughput_cps: won 2/10")
+
+
+def test_claim_inside_the_base_iqr_is_not_met(bench_pairs):
+    base = [80.0, 120.0, 90.0, 110.0, 85.0, 115.0, 95.0, 105.0, 100.0,
+            100.0]
+    change = [v + 5.0 for v in base]  # 10/10 won, gap 5 < IQR 17.5
+    verdict = bench_pairs.judge_claim(pairs_of(base, change), THROUGHPUT)
+    assert verdict["wins"] == 10
+    assert verdict["iqr"] == pytest.approx(17.5)
+    assert len(verdict["unmet"]) == 1
+    assert "within the base IQR" in verdict["unmet"][0]
+
+
+def test_claim_needs_ten_pairs_and_the_better_direction(bench_pairs):
+    few = bench_pairs.judge_claim(
+        pairs_of([100.0] * 5, [200.0] * 5), THROUGHPUT)
+    assert few["unmet"] == ["5 pairs < 10"]
+    lower = {"name": "latency_p99_ms", "unit": "ms", "better": "lower",
+             "bound": 0.25}
+    slower = {"base": [result(latency_p99_ms=10.0 + i) for i in range(10)],
+              "change": [result(latency_p99_ms=30.0 + i)
+                         for i in range(10)]}
+    verdict = bench_pairs.judge_claim(slower, lower)
+    assert verdict["wins"] == 0 and len(verdict["unmet"]) == 2

@@ -18,7 +18,6 @@ import pytest
 from repro.core import (
     CrossEntropyRateLoss,
     SpikingNetwork,
-    StreamState,
     Trainer,
     TrainerConfig,
     backward,
@@ -35,6 +34,7 @@ from repro.runtime import (
     resolve_workers,
     shard_slices,
 )
+from repro.serve import ModelServer
 
 
 def make_task(n=48, steps=20, channels=10, classes=3, seed=0):
@@ -126,19 +126,18 @@ class TestWorkspace:
         # any cached scratch — must stay under its cap, not grow with the
         # number of distinct shapes seen.
         net = SpikingNetwork((40, 24, 10), rng=0)
-        ws = Workspace(max_bytes=1 << 16)
+        server = ModelServer(net, max_batch=8, max_wait_ms=1e6)
+        ws = server._workspace = Workspace(max_bytes=1 << 16)
+        sids = [server.open_session() for _ in range(8)]
         rng = np.random.default_rng(0)
         for _ in range(80):
             count = int(rng.integers(1, 9))
             t_max = int(rng.integers(1, 17))
-            chunk = ws.empty((count, t_max, 40))
-            chunk[...] = rng.random(chunk.shape) < 0.2
-            state = StreamState.for_network(net, count, ws=ws)
             lengths = rng.integers(1, t_max + 1, size=count)
-            out, _ = net.run_stream(chunk, state, workspace=ws,
-                                    lengths=lengths)
-            state.release_to(ws)
-            ws.release(chunk, out)
+            lengths[rng.integers(count)] = t_max
+            for sid, steps in zip(sids, lengths):
+                server.submit(sid, rng.random((steps, 40)) < 0.2)
+            assert server.flush() == count      # one tick of this shape
             assert ws.lent_count == 0
             assert _retained_bytes(ws) <= ws.max_bytes
 

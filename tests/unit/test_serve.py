@@ -356,6 +356,183 @@ class TestHardwareServing:
                          rate_rps=2000.0, rng=0).divergence is None
 
 
+class TestSlotTable:
+    """The server keeps every session's carry as one row (slot) of one
+    table: slots are freed only once nothing of their session is
+    queued, reused before the table grows, and left untouched by a
+    chunk that fails.  Every output is checked bitwise against the
+    session streamed alone."""
+
+    @staticmethod
+    def solo(net, chunks, weights=None):
+        out, _ = net.run_stream(np.concatenate(chunks)[None],
+                                weights=weights)
+        return out[0]
+
+    @staticmethod
+    def row(server, slot):
+        table = server._slots.state
+        return [arr[slot].copy() for arr in table.arrays()] \
+            + [table.steps[slot].copy()]
+
+    def test_closed_session_keeps_its_slot_until_its_chunk_drains(self):
+        net = make_net()
+        server = ModelServer(net, max_batch=2, max_wait_ms=1e6)
+        first = server.open_session()
+        early = make_chunk(steps=7, seed=1)
+        server.infer(first, early)
+        late = make_chunk(steps=5, seed=2)
+        ticket = server.submit(first, late)
+        slot = server.session(first).slot
+        server.close_session(first)           # its chunk is still queued
+        assert server.check_invariants()["slots"] == 1
+        others = [server.open_session() for _ in range(4)]
+        assert slot not in {server.session(sid).slot for sid in others}
+        chunks = {sid: make_chunk(steps=4 + i, seed=10 + i)
+                  for i, sid in enumerate(others)}
+        tickets = {sid: server.submit(sid, chunk)
+                   for sid, chunk in chunks.items()}
+        server.flush()
+        assert np.array_equal(ticket.outputs,
+                              self.solo(net, [early, late])[7:])
+        for sid, chunk in chunks.items():
+            assert np.array_equal(tickets[sid].outputs,
+                                  self.solo(net, [chunk]))
+        # Drained: the slot is free again and the next session reuses
+        # it from a zeroed row.
+        assert server.check_invariants()["slots"] == 4
+        reuse = server.open_session()
+        assert server.session(reuse).slot == slot
+        assert server.session(reuse).steps == 0
+        chunk = make_chunk(steps=6, seed=3)
+        assert np.array_equal(server.infer(reuse, chunk),
+                              self.solo(net, [chunk]))
+
+    def test_table_grows_mid_stream(self):
+        net = make_net()
+        server = ModelServer(net, max_batch=2, max_wait_ms=1e6)
+        initial = server._slots.capacity
+        data = {}
+        for wave in range(3):
+            # Each wave opens more sessions than the table has free rows
+            # while the earlier ones are mid-stream.
+            for _ in range(5):
+                data[server.open_session()] = []
+            for i, (sid, chunks) in enumerate(data.items()):
+                chunk = make_chunk(steps=2 + (i + wave) % 6,
+                                   seed=100 * wave + i)
+                chunks.append((chunk, server.submit(sid, chunk)))
+                if server.pending == 4:
+                    server.flush()
+            server.flush()
+        slots = server._slots
+        assert slots.capacity > initial
+        assert slots.capacity - slots.held <= 0.2 * slots.capacity
+        for sid, chunks in data.items():
+            served = np.concatenate([t.outputs for _, t in chunks])
+            assert np.array_equal(served,
+                                  self.solo(net, [c for c, _ in chunks]))
+            assert server.session(sid).steps == served.shape[0]
+
+    def test_reaped_session_slot_is_reused(self):
+        net = make_net()
+        server = ModelServer(net, max_batch=2, max_wait_ms=1e6,
+                             session_ttl_s=1.0)
+        idle = server.open_session(now=0.0)
+        server.infer(idle, make_chunk(steps=9, seed=4), now=0.0)
+        slot = server.session(idle).slot
+        server.poll(now=5.0)
+        assert server.stats["reaped_sessions"] == 1
+        fresh = server.open_session(now=5.0)
+        assert server.session(fresh).slot == slot
+        chunks = [make_chunk(steps=3, seed=5), make_chunk(steps=8, seed=6)]
+        served = [server.infer(fresh, chunk, now=5.0) for chunk in chunks]
+        assert np.array_equal(np.concatenate(served), self.solo(net, chunks))
+
+    def test_poisoned_chunk_leaves_its_row_unchanged(self):
+        from repro.common import faults
+        from repro.common.faults import FaultPlan, FaultRule
+
+        net = make_net()
+        server = ModelServer(net, max_batch=3, max_wait_ms=1e6)
+        sids = [server.open_session() for _ in range(3)]
+        first = [make_chunk(steps=5, seed=20 + i) for i in range(3)]
+        for sid, chunk in zip(sids, first):
+            server.submit(sid, chunk)
+        server.flush()
+        victim = server.session(sids[1])
+        before = self.row(server, victim.slot)
+        second = [make_chunk(steps=4, seed=30 + i) for i in range(3)]
+        tickets = [server.submit(sid, chunk)
+                   for sid, chunk in zip(sids, second)]
+        plan = FaultPlan((FaultRule("serve.request.raise", nth=(2,)),),
+                         seed=0)
+        with faults.active(plan):
+            server.flush()
+        assert not tickets[1].ok and tickets[0].ok and tickets[2].ok
+        after = self.row(server, victim.slot)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+        # The victim resumes from where it stood; its neighbours moved on.
+        third = make_chunk(steps=6, seed=40)
+        assert np.array_equal(server.infer(sids[1], third),
+                              self.solo(net, [first[1], third])[5:])
+        for i in (0, 2):
+            assert np.array_equal(tickets[i].outputs,
+                                  self.solo(net, [first[i], second[i]])[5:])
+
+    def test_idle_session_memory_is_near_its_carry(self):
+        # 10^4 idle sessions on the benchmark network.  Each one's
+        # carry payload is one table row (6.6 KB); what an idle session
+        # costs on top is its Session object, its id and the table's
+        # growth slack.  The batch-1 states the table replaced cost
+        # 8.9 KB per session.
+        import tracemalloc
+
+        from repro.common.benchcfg import bench_network
+
+        net = bench_network()
+        sessions = 10_000
+        tracemalloc.start()
+        try:
+            server = ModelServer(net)
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(sessions):
+                server.open_session(now=0.0)
+            per_session = (tracemalloc.get_traced_memory()[0]
+                           - before) / sessions
+        finally:
+            tracemalloc.stop()
+        payload = sum(arr[0].nbytes for arr in server._slots.state.arrays())
+        assert payload == 8 * 3 * sum(net.sizes[1:])
+        assert per_session <= 1.35 * payload, (per_session, payload)
+
+    def test_shadow_divergences_equal_solo_streams(self):
+        net = make_net()
+        mapped = TestHardwareServing.make_mapped(net, variation=0.4)
+        server = ModelServer(net, hardware=mapped, shadow=True, max_batch=3,
+                             max_wait_ms=1e6)
+        data = {server.open_session(): [] for _ in range(5)}
+        for step in range(3):
+            for i, (sid, chunks) in enumerate(data.items()):
+                chunk = make_chunk(steps=3 + (i * step) % 5,
+                                   seed=50 + 10 * step + i)
+                chunks.append((chunk, server.submit(sid, chunk)))
+            server.flush()
+        assert server.mean_divergence() > 0.0
+        hardware = mapped.weight_list()
+        for chunks in data.values():
+            inputs = [chunk for chunk, _ in chunks]
+            ideal = self.solo(net, inputs)
+            real = self.solo(net, inputs, weights=hardware)
+            start = 0
+            for chunk, ticket in chunks:
+                stop = start + chunk.shape[0]
+                assert np.array_equal(ticket.outputs, ideal[start:stop])
+                assert ticket.divergence == float(np.mean(
+                    ideal[start:stop] != real[start:stop]))
+                start = stop
+
+
 class TestModelRegistry:
     def test_save_load_list_roundtrip(self, tmp_path):
         registry = ModelRegistry(str(tmp_path / "registry"))

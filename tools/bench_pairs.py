@@ -22,6 +22,13 @@ another ``--seed`` gives an independent set of pairs.  The tool only
 reads ``perfbench/`` and ``BENCHMARK.json`` (runs use ``--trace 0``,
 which writes nothing).  It exits 1 when a run fails or is incorrect or a
 metric is flagged, else 0.
+
+``--claim METRIC`` also judges a claimed gain on one end-to-end metric
+under the gain rule: at least ``MIN_PAIRS`` pairs, the change wins at
+least ``WIN_SHARE`` of them (a tie is not a win), and the medians differ
+in the better direction by more than the interquartile range of the
+base's runs.  It prints both sides' quartiles and ``GAIN`` or
+``NO GAIN``; a claim that is not met exits 1.
 """
 
 from __future__ import annotations
@@ -36,6 +43,9 @@ import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+#: The gain rule: enough pairs, nearly all won, a gap beyond the base IQR.
+MIN_PAIRS = 10
+WIN_SHARE = 0.9
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -102,6 +112,58 @@ def compare(results: dict, end_to_end: list[dict]) -> tuple[list, list]:
     return rows, flagged
 
 
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """``(q1, median, q3)``, linearly interpolated (numpy's default)."""
+    if len(values) < 2:
+        return (values[0],) * 3
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def judge_claim(results: dict, spec: dict) -> dict:
+    """The gain rule for the metric ``spec`` (a ``BENCHMARK.json``
+    end-to-end entry); returns the numbers behind the verdict and the
+    list of ``unmet`` conditions (empty: ``GAIN``)."""
+    name = spec["name"]
+    base = [r["metrics"][name]["value"] for r in results["base"]]
+    change = [r["metrics"][name]["value"] for r in results["change"]]
+    higher = spec["better"] == "higher"
+    pairs = len(base)
+    wins = sum((c > b) if higher else (c < b)
+               for b, c in zip(base, change))
+    base_q = quartiles(base)
+    change_q = quartiles(change)
+    gap = change_q[1] - base_q[1]
+    iqr = base_q[2] - base_q[0]
+    unmet = []
+    if pairs < MIN_PAIRS:
+        unmet.append(f"{pairs} pairs < {MIN_PAIRS}")
+    if wins < WIN_SHARE * pairs:
+        unmet.append(f"won {wins}/{pairs} < {WIN_SHARE:.0%}")
+    if (gap if higher else -gap) <= iqr:
+        unmet.append(f"median gap {gap:+.6g} within the base IQR {iqr:.6g}")
+    return {"metric": name, "better": spec["better"], "pairs": pairs,
+            "wins": wins, "base": base_q, "change": change_q, "gap": gap,
+            "iqr": iqr, "unmet": unmet}
+
+
+def claim_report(verdict: dict) -> str:
+    def fmt(q):
+        return "/".join(f"{v:.6g}" for v in q)
+
+    lines = [f"claim {verdict['metric']} ({verdict['better']} is better): "
+             f"q1/median/q3 base {fmt(verdict['base'])}, "
+             f"change {fmt(verdict['change'])}",
+             f"  won {verdict['wins']}/{verdict['pairs']}, median gap "
+             f"{verdict['gap']:+.6g}, base IQR {verdict['iqr']:.6g}"]
+    if verdict["unmet"]:
+        lines.append(f"NO GAIN {verdict['metric']}: "
+                     + "; ".join(verdict["unmet"]))
+    else:
+        lines.append(f"GAIN {verdict['metric']}")
+    return "\n".join(lines)
+
+
 def report(workload: str, results: dict, rows: list) -> str:
     lines = [f"== {workload}: {len(results['base'])} pairs",
              f"{'metric':16s} {'unit':>5s} {'base':>12s} {'change':>12s} "
@@ -131,6 +193,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--seed", type=int, default=1,
                         help="seed of the first pair (pair i uses seed+i)")
+    parser.add_argument("--claim", metavar="METRIC",
+                        help="judge a gain on this end-to-end metric "
+                             "under the gain rule (exit 1 if not met)")
     args = parser.parse_args(argv)
     sys.stdout.reconfigure(line_buffering=True)
     if args.pairs < 1:
@@ -140,6 +205,9 @@ def main(argv=None) -> int:
     known = sorted(w["name"] for w in spec["workloads"])
     if args.workload not in known:
         parser.error(f"unknown workload {args.workload!r}; known: {known}")
+    claimed = {m["name"]: m for m in spec["end_to_end"]}.get(args.claim)
+    if args.claim is not None and claimed is None:
+        parser.error(f"--claim {args.claim!r} is not an end-to-end metric")
 
     base = Path(tempfile.mkdtemp(prefix="bench-base-"))
     try:
@@ -156,6 +224,13 @@ def main(argv=None) -> int:
     print(report(args.workload, results, rows))
     failures = bad_runs(results) + [f"{name} past its bound"
                                     for name in flagged]
+    if claimed is not None:
+        if bad_runs(results):
+            print(f"NO GAIN {args.claim}: not every run was correct")
+        else:
+            verdict = judge_claim(results, claimed)
+            print(claim_report(verdict))
+            failures += [f"claim: {line}" for line in verdict["unmet"]]
     for line in failures:
         print(f"FAIL {args.workload}: {line}")
     return 1 if failures else 0
